@@ -10,11 +10,13 @@ from .model import (
     OHMIC_FRACTION_DEFAULT,
     PresetDataError,
     ProbeGrid,
+    SiteDataError,
     SiteNetwork,
     WaveguideCoupling,
     fmo_preset,
     induced_width,
     network_fingerprint,
+    network_from_site_data,
     rebuild_port_losses,
     validate_network,
 )
@@ -50,8 +52,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LossBreakdown", "OHMIC_FRACTION_DEFAULT", "PresetDataError", "ProbeGrid",
-    "SiteNetwork", "WaveguideCoupling", "fmo_preset", "induced_width",
-    "network_fingerprint", "rebuild_port_losses", "validate_network",
+    "SiteDataError", "SiteNetwork", "WaveguideCoupling", "fmo_preset", "induced_width",
+    "network_fingerprint", "network_from_site_data", "rebuild_port_losses", "validate_network",
     "FluxLedger", "NetworkValidationError", "PoleError", "ScatteringSolution",
     "Spectrum", "default_grid", "effective_hamiltonian", "solve_closed_form",
     "solve_direct", "sweep_spectrum",

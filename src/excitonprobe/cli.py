@@ -97,15 +97,12 @@ def cmd_fano(args) -> int:
     if not windows:
         raise ValueError("no fit windows: pass --window LO,HI or a config with fit_windows")
 
-    rows = []
-    for i, window in enumerate(windows):
-        label = args.label if (args.label and len(windows) == 1) else f"window-{i + 1}"
-        rows.append((label, fit_fano(spec, window)))
+    if args.label and len(windows) > 1:
+        raise ValueError(f"--label names a single window, but {len(windows)} windows were given")
 
-    print(csvio.FANO_CSV_HEADER)
-    for label, fit in rows:
-        print(f"{label},{fit.q:.12e},{fit.e_res:.12e},{fit.gamma_w:.12e},"
-              f"{fit.t_bg:.12e},{fit.residual:.12e},{str(fit.converged).lower()}")
+    rows = [(args.label or f"window-{i + 1}", fit_fano(spec, window))
+            for i, window in enumerate(windows)]
+    print(csvio.format_fano_table(rows), end="")
     if args.out:
         csvio.write_fano_csv(args.out, rows)
         print(f"wrote {args.out}", file=sys.stderr)

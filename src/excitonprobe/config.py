@@ -11,16 +11,12 @@ import json
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import (
-    LossBreakdown,
     OHMIC_FRACTION_DEFAULT,
     ProbeGrid,
-    SiteNetwork,
-    WaveguideCoupling,
+    SiteDataError,
     fmo_preset,
-    induced_width,
+    network_from_site_data,
 )
 from .scattering import SOLVERS, default_grid
 from .scenarios import DEFAULT_PROMINENCE, InhibitCoupling, RemoveSite, SetPortAmplitudes
@@ -41,6 +37,8 @@ _SCENARIO_KEYS = {
     "remove_site": {"type", "site", "label"},
     "set_port_amplitudes": {"type", "ports", "ohmic_fraction", "label"},
 }
+# Per-site loss arrays a network file may carry, and the config rate each replaces.
+_FILE_LOSS_RATES = {"loss_dephasing_cm1": "gamma_dp", "loss_sink_cm1": "gamma_s"}
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,20 @@ def _require_number(data, key, context="config"):
     return float(value)
 
 
-def _parse_scenario(entry, index):
+def _read_json_object(path, what) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
+    return data
+
+
+def _parse_scenario(entry, index, ohmic_fraction):
     ctx = f"scenario {index}"
     if not isinstance(entry, dict):
         raise ConfigError(f"{ctx} must be an object, got {type(entry).__name__}")
@@ -103,25 +114,14 @@ def _parse_scenario(entry, index):
         pairs = tuple((int(s), float(g)) for s, g in ports)
     except (TypeError, ValueError):
         raise ConfigError(f"{ctx}: 'ports' must be a list of [site, g] pairs") from None
-    fraction = entry.get("ohmic_fraction", OHMIC_FRACTION_DEFAULT)
-    if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
-        raise ConfigError(f"{ctx}: 'ohmic_fraction' must be a number")
-    return SetPortAmplitudes(pairs, ohmic_fraction=float(fraction), label=label)
+    if "ohmic_fraction" in entry:
+        ohmic_fraction = _require_number(entry, "ohmic_fraction", ctx)
+    return SetPortAmplitudes(pairs, ohmic_fraction=ohmic_fraction, label=label)
 
 
 def parse_config(path) -> RunConfig:
     """Read and fully validate a JSON config file."""
-    try:
-        raw = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-
+    data = _read_json_object(path, "config")
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
@@ -153,6 +153,12 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("group velocity v_g must be > 0")
     if kwargs.get("prominence", DEFAULT_PROMINENCE) <= 0:
         raise ConfigError("prominence must be > 0")
+    if network == "file":
+        site_data = _read_json_object(kwargs["network_file"], "network file")
+        for loss_key, rate in _FILE_LOSS_RATES.items():
+            if loss_key in site_data and rate in data:
+                raise ConfigError(
+                    f"config key {rate!r} conflicts with {loss_key!r} in the network file")
 
     if "grid" in data:
         grid = data["grid"]
@@ -189,7 +195,8 @@ def parse_config(path) -> RunConfig:
         if not isinstance(entries, list):
             raise ConfigError("config key 'scenarios' must be a list")
         kwargs["scenarios"] = tuple(
-            _parse_scenario(entry, i) for i, entry in enumerate(entries)
+            _parse_scenario(entry, i, kwargs.get("ohmic_fraction", OHMIC_FRACTION_DEFAULT))
+            for i, entry in enumerate(entries)
         )
 
     if "output_dir" in data:
@@ -221,60 +228,17 @@ def parse_config(path) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _load_network_file(path, cfg: RunConfig):
-    """Custom network JSON: same schema as the bundled preset data.
-
-    Optional per-site arrays loss_dephasing_cm1 and loss_sink_cm1 replace the
-    preset loss placement; the Ohmic channel always follows the ports.
-    """
-    try:
-        data = json.loads(open(path, "r", encoding="utf-8").read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read network file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    for key in ("epsilon_cm1", "coupling_upper_triangle_cm1"):
-        if key not in data:
-            raise ConfigError(f"network file {path!r} lacks key {key!r}")
-
-    eps = np.asarray(data["epsilon_cm1"], dtype=float)
-    n = eps.size
-    if n < 6:
-        raise ConfigError(f"network file needs >= 6 sites for ports 1 and 6, got {n}")
-    J = np.zeros((n, n))
-    for s, m, value in data["coupling_upper_triangle_cm1"]:
-        if not (1 <= s <= n and 1 <= m <= n and s != m):
-            raise ConfigError(f"network file coupling entry ({s},{m}) out of range")
-        J[s - 1, m - 1] = value
-        J[m - 1, s - 1] = value
-
-    dephasing = np.asarray(data.get("loss_dephasing_cm1", np.zeros(n)), dtype=float)
-    sink = np.asarray(data.get("loss_sink_cm1", np.zeros(n)), dtype=float)
-    if dephasing.shape != (n,) or sink.shape != (n,):
-        raise ConfigError("network file loss arrays must have one entry per site")
-
-    ports = ((1, cfg.g1), (6, cfg.g6))
-    wg = WaveguideCoupling(ports=ports, v_g=cfg.v_g)
-    ohmic = np.zeros(n)
-    for site, g in ports:
-        ohmic[site - 1] = cfg.ohmic_fraction * induced_width(g, cfg.v_g)
-    breakdown = LossBreakdown(dephasing=dephasing, ohmic=ohmic, sink=sink)
-    net = SiteNetwork(
-        n_sites=n, epsilon=eps, coupling=J, loss=breakdown.total(),
-        loss_breakdown=breakdown,
-        labels=tuple(data.get("labels", ())),
-        reference_energy=float(data.get("reference_energy_cm1", 0.0)),
-    )
-    return net, wg
-
-
 def build_setup(cfg: RunConfig):
     """(network, waveguide, grid) triple realized from a RunConfig."""
+    rates = dict(g1=cfg.g1, g6=cfg.g6, gamma_dp=cfg.gamma_dp, gamma_s=cfg.gamma_s,
+                 ohmic_fraction=cfg.ohmic_fraction, v_g=cfg.v_g)
     if cfg.network == "file":
-        net, wg = _load_network_file(cfg.network_file, cfg)
+        try:
+            net, wg = network_from_site_data(
+                _read_json_object(cfg.network_file, "network file"), **rates)
+        except SiteDataError as exc:
+            raise ConfigError(f"network file {cfg.network_file!r}: {exc}") from None
     else:
-        net, wg = fmo_preset(g1=cfg.g1, g6=cfg.g6, gamma_dp=cfg.gamma_dp,
-                             gamma_s=cfg.gamma_s, ohmic_fraction=cfg.ohmic_fraction,
-                             v_g=cfg.v_g)
+        net, wg = fmo_preset(**rates)
     grid = cfg.grid if cfg.grid is not None else default_grid(net)
     return net, wg, grid

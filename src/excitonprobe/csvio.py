@@ -49,11 +49,7 @@ def write_spectrum_csv(path, spec: Spectrum):
             f"{energies[i]:.12e},{spec.T[i]:.12e},{spec.R[i]:.12e},"
             f"{spec.A_total[i]:.12e},{sink[i]:.12e},{deph[i]:.12e},{ohm[i]:.12e}"
         )
-    payload = "\n".join(lines) + "\n"
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_meta_value(raw: str):
@@ -124,15 +120,23 @@ def read_spectrum_csv(path) -> Spectrum:
                     A_channels=channels, metadata=metadata)
 
 
-def write_fano_csv(path, rows):
-    """Rows are (label, FanoFit) pairs; one CSV line each."""
+def format_fano_table(rows) -> str:
+    """Fano table text: the header, then one line per (label, FanoFit) pair."""
     lines = [FANO_CSV_HEADER]
     for label, fit in rows:
         lines.append(
             f"{label},{fit.q:.12e},{fit.e_res:.12e},{fit.gamma_w:.12e},"
             f"{fit.t_bg:.12e},{fit.residual:.12e},{str(fit.converged).lower()}"
         )
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+    return "\n".join(lines) + "\n"
+
+
+def write_fano_csv(path, rows):
+    """Rows are (label, FanoFit) pairs; one CSV line each."""
+    _write_text(path, format_fano_table(rows))
+
+
+def _write_text(path, text):
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)

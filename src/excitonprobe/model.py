@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -20,12 +20,20 @@ LOSS_CHANNELS = ("dephasing", "ohmic", "sink")
 
 PRESET_DATA_FILE = "fmo_hamiltonian.json"
 
+# Top-level keys of a site-data file: the bundled file's plus two optional loss arrays.
+SITE_DATA_KEYS = {"comment", "units", "source", "labels", "reference_energy_cm1", "epsilon_cm1",
+                  "coupling_upper_triangle_cm1", "loss_dephasing_cm1", "loss_sink_cm1"}
+
 # Fraction of each port's induced width lost to Ohmic heating of the wire.
 OHMIC_FRACTION_DEFAULT = 1.0 / 20.0
 
 
 class PresetDataError(RuntimeError):
     """Raised when the bundled preset data file is missing or malformed."""
+
+
+class SiteDataError(ValueError):
+    """Site data (energies, couplings, loss arrays) is malformed."""
 
 
 def induced_width(g, v_g=1.0):
@@ -229,20 +237,87 @@ def network_fingerprint(net: SiteNetwork) -> str:
     return h.hexdigest()[:16]
 
 
-def _load_preset_data() -> dict:
-    try:
-        path = resources.files("excitonprobe.data").joinpath(PRESET_DATA_FILE)
-        raw = path.read_text(encoding="utf-8")
-    except (FileNotFoundError, ModuleNotFoundError) as exc:
-        raise PresetDataError(f"preset data file {PRESET_DATA_FILE!r} not found: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise PresetDataError(f"preset data file {PRESET_DATA_FILE!r} is malformed: {exc}") from exc
-    for key in ("epsilon_cm1", "coupling_upper_triangle_cm1", "reference_energy_cm1", "labels"):
+def _site_values(data: dict, key: str, n: int) -> np.ndarray:
+    values = data[key]
+    if (not isinstance(values, list) or len(values) != n
+            or any(type(v) not in (int, float) for v in values)):
+        raise SiteDataError(f"key {key!r} must list one number per site ({n} sites)")
+    return np.array(values, dtype=float)
+
+
+def _coupling_matrix(entries, n: int) -> np.ndarray:
+    if not isinstance(entries, list):
+        raise SiteDataError("key 'coupling_upper_triangle_cm1' must be a list of [site, site, J]")
+    J = np.zeros((n, n))
+    seen = set()
+    for k, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(type(s) is int and 1 <= s <= n for s in entry[:2])
+                and entry[0] != entry[1] and type(entry[2]) in (int, float)):
+            raise SiteDataError(f"coupling entry {k} {entry!r} must be [site, site, J] "
+                                f"with distinct integer sites in 1..{n}")
+        s, m, value = entry
+        pair = (min(s, m), max(s, m))
+        if pair in seen:
+            raise SiteDataError(f"coupling entry {k} {entry!r} repeats the pair {pair}")
+        seen.add(pair)
+        J[s - 1, m - 1] = J[m - 1, s - 1] = value
+    return J
+
+
+def _port_ohmic_losses(wg: WaveguideCoupling, n_sites: int, ohmic_fraction: float) -> np.ndarray:
+    """Per-site Ohmic loss: ohmic_fraction times each port's induced width, zero off-port."""
+    ohmic = np.zeros(n_sites)
+    for site, width in wg.port_widths().items():
+        ohmic[site - 1] = ohmic_fraction * width
+    return ohmic
+
+
+def network_from_site_data(
+    data: dict, *, g1: float, g6: float, gamma_dp: float, gamma_s: float,
+    ohmic_fraction: float, v_g: float,
+) -> tuple[SiteNetwork, WaveguideCoupling]:
+    """Network probed through sites 1 and 6, built from parsed site data.
+
+    `data` has the schema of the bundled preset file (SITE_DATA_KEYS).
+    Dephasing broadening gamma_dp sits on the two port sites, the sink rate
+    gamma_s on site 3 (transfer to the reaction center), and each port
+    carries an Ohmic loss of ohmic_fraction times its induced width
+    2 g^2 / v_g. A per-site `loss_dephasing_cm1` or `loss_sink_cm1` array in
+    the data replaces the matching placement. Malformed data raises
+    SiteDataError naming the offending key or entry.
+    """
+    unknown = set(data) - SITE_DATA_KEYS
+    if unknown:
+        raise SiteDataError(f"unknown site-data key {sorted(unknown)[0]!r}")
+    for key in ("epsilon_cm1", "coupling_upper_triangle_cm1"):
         if key not in data:
-            raise PresetDataError(f"preset data file {PRESET_DATA_FILE!r} lacks key {key!r}")
-    return data
+            raise SiteDataError(f"site data lacks key {key!r}")
+    n = len(data["epsilon_cm1"]) if isinstance(data["epsilon_cm1"], list) else 0
+    if n < 6:
+        raise SiteDataError(f"key 'epsilon_cm1' must list >= 6 sites for ports 1 and 6, got {n}")
+    ports = ((1, float(g1)), (6, float(g6)))
+    wg = WaveguideCoupling(ports=ports, v_g=v_g)
+
+    dephasing = np.zeros(n)
+    dephasing[[site - 1 for site, _ in ports]] = gamma_dp
+    sink = np.zeros(n)
+    sink[3 - 1] = gamma_s
+    if "loss_dephasing_cm1" in data:
+        dephasing = _site_values(data, "loss_dephasing_cm1", n)
+    if "loss_sink_cm1" in data:
+        sink = _site_values(data, "loss_sink_cm1", n)
+    breakdown = LossBreakdown(dephasing, _port_ohmic_losses(wg, n, ohmic_fraction), sink)
+    net = SiteNetwork(
+        n_sites=n,
+        epsilon=_site_values(data, "epsilon_cm1", n),
+        coupling=_coupling_matrix(data["coupling_upper_triangle_cm1"], n),
+        loss=breakdown.total(),
+        loss_breakdown=breakdown,
+        labels=tuple(data.get("labels", ())),
+        reference_energy=float(data.get("reference_energy_cm1", 0.0)),
+    )
+    return net, wg
 
 
 def fmo_preset(
@@ -253,43 +328,15 @@ def fmo_preset(
     ohmic_fraction: float = OHMIC_FRACTION_DEFAULT,
     v_g: float = 1.0,
 ) -> tuple[SiteNetwork, WaveguideCoupling]:
-    """Seven-site FMO network probed through sites 1 and 6.
-
-    Dephasing broadening gamma_dp sits on the two port sites, the sink rate
-    gamma_s on site 3 (transfer to the reaction center), and each port
-    carries an Ohmic loss of ohmic_fraction times its induced width
-    2 g^2 / v_g. All other sites are lossless.
-    """
-    data = _load_preset_data()
-    eps = np.asarray(data["epsilon_cm1"], dtype=float)
-    n = eps.size
-    J = np.zeros((n, n))
-    for s, m, value in data["coupling_upper_triangle_cm1"]:
-        J[s - 1, m - 1] = value
-        J[m - 1, s - 1] = value
-
-    ports = ((1, float(g1)), (6, float(g6)))
-    wg = WaveguideCoupling(ports=ports, v_g=v_g)
-
-    dephasing = np.zeros(n)
-    ohmic = np.zeros(n)
-    sink = np.zeros(n)
-    for site, g in ports:
-        dephasing[site - 1] = gamma_dp
-        ohmic[site - 1] = ohmic_fraction * induced_width(g, v_g)
-    sink[3 - 1] = gamma_s
-
-    breakdown = LossBreakdown(dephasing=dephasing, ohmic=ohmic, sink=sink)
-    net = SiteNetwork(
-        n_sites=n,
-        epsilon=eps,
-        coupling=J,
-        loss=breakdown.total(),
-        loss_breakdown=breakdown,
-        labels=tuple(data["labels"]),
-        reference_energy=float(data["reference_energy_cm1"]),
-    )
-    return net, wg
+    """Seven-site FMO network probed through sites 1 and 6: the bundled
+    site data run through network_from_site_data."""
+    try:
+        path = resources.files("excitonprobe.data").joinpath(PRESET_DATA_FILE)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        return network_from_site_data(data, g1=g1, g6=g6, gamma_dp=gamma_dp, gamma_s=gamma_s,
+                                      ohmic_fraction=ohmic_fraction, v_g=v_g)
+    except (OSError, ModuleNotFoundError, json.JSONDecodeError, SiteDataError) as exc:
+        raise PresetDataError(f"preset data file {PRESET_DATA_FILE!r}: {exc}") from exc
 
 
 def rebuild_port_losses(
@@ -303,21 +350,7 @@ def rebuild_port_losses(
     untouched. Old port sites that are no longer ports lose their Ohmic term.
     """
     ohmic = np.array(net.loss_breakdown.ohmic)
-    for site, _ in old_wg.ports:
-        ohmic[site - 1] = 0.0
-    for site, g in new_wg.ports:
-        ohmic[site - 1] = ohmic_fraction * induced_width(g, new_wg.v_g)
-    breakdown = LossBreakdown(
-        dephasing=np.array(net.loss_breakdown.dephasing),
-        ohmic=ohmic,
-        sink=np.array(net.loss_breakdown.sink),
-    )
-    return SiteNetwork(
-        n_sites=net.n_sites,
-        epsilon=np.array(net.epsilon),
-        coupling=np.array(net.coupling),
-        loss=breakdown.total(),
-        loss_breakdown=breakdown,
-        labels=net.labels,
-        reference_energy=net.reference_energy,
-    )
+    ohmic[[site - 1 for site, _ in old_wg.ports + new_wg.ports]] = 0.0
+    ohmic += _port_ohmic_losses(new_wg, net.n_sites, ohmic_fraction)
+    breakdown = replace(net.loss_breakdown, ohmic=ohmic)
+    return replace(net, loss=breakdown.total(), loss_breakdown=breakdown)

@@ -10,7 +10,7 @@ in the emitted CSVs but not scored.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -98,12 +98,7 @@ def apply_defect(net: SiteNetwork, wg: WaveguideCoupling, scenario):
         J = np.array(net.coupling, dtype=float)
         J[i, j] = 0.0
         J[j, i] = 0.0
-        new_net = SiteNetwork(
-            n_sites=net.n_sites, epsilon=net.epsilon, coupling=J,
-            loss=net.loss, loss_breakdown=net.loss_breakdown,
-            labels=net.labels, reference_energy=net.reference_energy,
-        )
-        return new_net, wg
+        return replace(net, coupling=J), wg
 
     if isinstance(scenario, RemoveSite):
         _check_site(net, scenario.site)
@@ -115,18 +110,16 @@ def apply_defect(net: SiteNetwork, wg: WaveguideCoupling, scenario):
         k = net.site_index(scenario.site)
         keep = [i for i in range(net.n_sites) if i != k]
         breakdown = LossBreakdown(
-            dephasing=net.loss_breakdown.dephasing[keep],
-            ohmic=net.loss_breakdown.ohmic[keep],
-            sink=net.loss_breakdown.sink[keep],
+            **{name: arr[keep] for name, arr in net.loss_breakdown.as_dict().items()}
         )
-        new_net = SiteNetwork(
+        new_net = replace(
+            net,
             n_sites=net.n_sites - 1,
             epsilon=net.epsilon[keep],
             coupling=net.coupling[np.ix_(keep, keep)],
             loss=net.loss[keep],
             loss_breakdown=breakdown,
             labels=tuple(net.labels[i] for i in keep),
-            reference_energy=net.reference_energy,
         )
         new_ports = tuple((s - 1 if s > scenario.site else s, g) for s, g in wg.ports)
         new_wg = WaveguideCoupling(ports=new_ports, v_g=wg.v_g, d=wg.d)

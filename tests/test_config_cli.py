@@ -1,5 +1,8 @@
 import json
 import os
+import re
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,22 @@ import pytest
 from excitonprobe.cli import main
 from excitonprobe.config import ConfigError, RunConfig, build_setup, parse_config
 from excitonprobe.csvio import FANO_CSV_HEADER, read_spectrum_csv
-from excitonprobe.scenarios import InhibitCoupling, RemoveSite, SetPortAmplitudes
+from excitonprobe.model import fmo_preset, network_fingerprint
+from excitonprobe.scenarios import (
+    InhibitCoupling, RemoveSite, SetPortAmplitudes, run_scenario_suite,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def bundled_site_data():
+    path = resources.files("excitonprobe.data").joinpath("fmo_hamiltonian.json")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def write_network_file(tmp_path, data, name="net.json"):
+    (tmp_path / name).write_text(json.dumps(data))
+    return name
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -117,6 +135,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="does not exist"):
             parse_config(path)
 
+    def test_readme_sample_config_parses(self, tmp_path):
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "readme.json"
+        path.write_text(blocks[0])
+        cfg = parse_config(str(path))
+        assert len(cfg.scenarios) == 3
+        assert cfg.fit_windows == ((520.0, 620.0),)
+
+    def test_port_probe_defaults_to_run_ohmic_fraction(self, tmp_path):
+        # Re-applying the baseline ports at the run's own fraction must be a null probe.
+        path = write_config(
+            tmp_path, ohmic_fraction=0.5,
+            grid={"e_min": -171.0, "e_max": 893.0, "n_points": 401},
+            scenarios=[{"type": "set_port_amplitudes", "ports": [[1, 10], [6, 10]]}],
+        )
+        cfg = parse_config(path)
+        assert cfg.scenarios[0].ohmic_fraction == 0.5
+        net, wg, grid = build_setup(cfg)
+        report = run_scenario_suite(net, wg, grid, cfg.scenarios)
+        entry = report["scenarios"][0]
+        assert entry["ok"] is True
+        assert entry["diff"] == {"l2": 0.0, "l_inf": 0.0, "area": 0.0, "extrema_delta": 0}
+
     def test_g_ratio_none_for_silent_port(self):
         assert RunConfig(g6=0.0).g_ratio is None
         assert RunConfig(g1=10.0, g6=0.1).g_ratio == pytest.approx(100.0)
@@ -145,6 +187,58 @@ class TestBuildSetup:
         assert net.n_sites == 6
         assert net.coupling[4, 5] == 7.0
         assert [s for s, _ in wg.ports] == [1, 6]
+
+    @pytest.mark.parametrize("rates, fingerprint", [
+        ({}, "06d2e6bc69149c58"),
+        ({"g1": 0.1, "g6": 10.0}, "bd3b385fd6ec7a87"),
+        ({"g1": 2.0, "g6": 4.0, "gamma_dp": 10.0, "gamma_s": 1.0,
+          "ohmic_fraction": 0.5, "v_g": 2.0}, "8d88069f6eb55051"),
+    ])
+    def test_copy_of_bundled_file_matches_preset(self, tmp_path, rates, fingerprint):
+        name = write_network_file(tmp_path, bundled_site_data())
+        path = write_config(tmp_path, network="file", network_file=name, **rates)
+        net, wg, _ = build_setup(parse_config(path))
+        preset_net, preset_wg = fmo_preset(**rates)
+        assert network_fingerprint(preset_net) == fingerprint
+        assert network_fingerprint(net) == fingerprint
+        assert net.labels == preset_net.labels
+        assert wg == preset_wg
+
+    def test_file_loss_arrays_replace_rates(self, tmp_path):
+        data = dict(bundled_site_data(),
+                    loss_dephasing_cm1=[1.0] * 7, loss_sink_cm1=[0.0] * 6 + [2.0])
+        name = write_network_file(tmp_path, data)
+        path = write_config(tmp_path, network="file", network_file=name, ohmic_fraction=0.0)
+        net, _, _ = build_setup(parse_config(path))
+        assert np.array_equal(net.loss_breakdown.dephasing, [1.0] * 7)
+        assert np.array_equal(net.loss, [1.0] * 6 + [3.0])
+
+    @pytest.mark.parametrize("loss_key, rate", [
+        ("loss_dephasing_cm1", "gamma_dp"),
+        ("loss_sink_cm1", "gamma_s"),
+    ])
+    def test_file_loss_array_conflicts_with_config_rate(self, tmp_path, loss_key, rate):
+        name = write_network_file(tmp_path, dict(bundled_site_data(), **{loss_key: [1.0] * 7}))
+        path = write_config(tmp_path, network="file", network_file=name, **{rate: 1.0})
+        with pytest.raises(ConfigError, match=f"'{rate}'.*'{loss_key}'"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: d["coupling_upper_triangle_cm1"].append([1.5, 2, -104.1]),
+         r"coupling entry 21 \[1\.5, 2, -104\.1\].*integer sites"),
+        (lambda d: d["coupling_upper_triangle_cm1"].append([2, 1, 999]),
+         r"coupling entry 21 \[2, 1, 999\] repeats the pair \(1, 2\)"),
+        (lambda d: d.update(loss_sink_cm=[0.0] * 7), "unknown site-data key 'loss_sink_cm'"),
+        (lambda d: d.update(coupling_upper_triangle_cm1=5),
+         "'coupling_upper_triangle_cm1' must be a list"),
+    ], ids=["non-integer-site", "mirrored-pair", "unknown-key", "coupling-not-a-list"])
+    def test_malformed_network_file_rejected(self, tmp_path, change, message):
+        data = bundled_site_data()
+        change(data)
+        path = write_config(tmp_path, network="file",
+                            network_file=write_network_file(tmp_path, data))
+        with pytest.raises(ConfigError, match=message):
+            build_setup(parse_config(path))
 
     def test_network_file_too_small(self, tmp_path):
         netfile = tmp_path / "toy.json"
@@ -339,6 +433,17 @@ class TestCliFano:
         )
         assert rc == 0
         assert table.read_text().splitlines()[0] == FANO_CSV_HEADER
+
+    def test_label_with_several_windows_is_an_error(self, spectrum_setup, capsys):
+        cfg, out = spectrum_setup
+        run_cli("spectrum", "--config", cfg)
+        capsys.readouterr()
+        rc = run_cli("fano", "--spectrum", str(out / "baseline.csv"),
+                     "--window", "220,300", "--window", "540,700", "--label", "edge")
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "--label" in captured.err
+        assert captured.out == ""
 
     def test_no_windows_is_an_error(self, spectrum_setup, capsys):
         cfg, out = spectrum_setup
