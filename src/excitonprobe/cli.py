@@ -19,16 +19,10 @@ from .scattering import NetworkValidationError, PoleError, sweep_spectrum
 from .scenarios import ScenarioError, run_scenario_suite, spectral_difference
 
 
-def _write_report(path, report):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True, default=list) + "\n")
-
-
 def cmd_spectrum(args) -> int:
     cfg = parse_config(args.config)
     net, wg, grid = build_setup(cfg)
     spec = sweep_spectrum(net, wg, grid, solver=cfg.solver)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, "baseline.csv")
     csvio.write_spectrum_csv(csv_path, spec)
     print(f"wrote {csv_path}")
@@ -57,7 +51,8 @@ def cmd_scenario(args) -> int:
             entry["svg"] = svg_path
 
     report_path = os.path.join(cfg.output_dir, "report.json")
-    _write_report(report_path, report)
+    csvio.write_text(report_path,
+                     json.dumps(report, indent=2, sort_keys=True, default=list) + "\n")
 
     print(f"baseline: {report['baseline']['dip_count']} dips")
     for entry in report["scenarios"]:

@@ -35,7 +35,7 @@ _GRID_KEYS = {"e_min", "e_max", "n_points"}
 _SCENARIO_KEYS = {
     "inhibit_coupling": {"type", "site_a", "site_b", "label"},
     "remove_site": {"type", "site", "label"},
-    "set_port_amplitudes": {"type", "ports", "ohmic_fraction", "label"},
+    "set_port_amplitudes": {"type", "ports", "label"},
 }
 # Per-site loss arrays a network file may carry, and the config rate each replaces.
 _FILE_LOSS_RATES = {"loss_dephasing_cm1": "gamma_dp", "loss_sink_cm1": "gamma_s"}
@@ -59,11 +59,6 @@ class RunConfig:
     prominence: float = DEFAULT_PROMINENCE
     fit_windows: tuple = ()
 
-    @property
-    def g_ratio(self):
-        """g1/g6 when defined, None for an uncoupled second port."""
-        return None if self.g6 == 0 else self.g1 / self.g6
-
 
 def _require_number(data, key, context="config"):
     value = data[key]
@@ -85,7 +80,7 @@ def _read_json_object(path, what) -> dict:
     return data
 
 
-def _parse_scenario(entry, index, ohmic_fraction):
+def _parse_scenario(entry, index):
     ctx = f"scenario {index}"
     if not isinstance(entry, dict):
         raise ConfigError(f"{ctx} must be an object, got {type(entry).__name__}")
@@ -114,9 +109,7 @@ def _parse_scenario(entry, index, ohmic_fraction):
         pairs = tuple((int(s), float(g)) for s, g in ports)
     except (TypeError, ValueError):
         raise ConfigError(f"{ctx}: 'ports' must be a list of [site, g] pairs") from None
-    if "ohmic_fraction" in entry:
-        ohmic_fraction = _require_number(entry, "ohmic_fraction", ctx)
-    return SetPortAmplitudes(pairs, ohmic_fraction=ohmic_fraction, label=label)
+    return SetPortAmplitudes(pairs, label=label)
 
 
 def parse_config(path) -> RunConfig:
@@ -194,10 +187,7 @@ def parse_config(path) -> RunConfig:
         entries = data["scenarios"]
         if not isinstance(entries, list):
             raise ConfigError("config key 'scenarios' must be a list")
-        kwargs["scenarios"] = tuple(
-            _parse_scenario(entry, i, kwargs.get("ohmic_fraction", OHMIC_FRACTION_DEFAULT))
-            for i, entry in enumerate(entries)
-        )
+        kwargs["scenarios"] = tuple(_parse_scenario(entry, i) for i, entry in enumerate(entries))
 
     if "output_dir" in data:
         out = data["output_dir"]

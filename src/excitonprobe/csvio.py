@@ -17,11 +17,25 @@ from .scattering import Spectrum
 
 CSV_HEADER = "E_cm1,T,R,A_total,A_sink,A_dephasing,A_ohmic"
 
-# Metadata keys written in this fixed order when present.
-_META_ORDER = ("solver", "network_hash", "v_g", "reference_energy_cm1",
-               "g1", "g6", "g1_over_g6", "ports", "port_widths")
-
 FANO_CSV_HEADER = "label,q,e_res,gamma_w,t_bg,residual,converged"
+
+
+def _site_pairs(raw: str):
+    """`1:10.0;6:0.1` -> ((1, 10.0), (6, 0.1)), the form _fmt_meta writes."""
+    return tuple((int(s), float(v)) for s, _, v in
+                 (item.partition(":") for item in raw.split(";") if item))
+
+
+# Metadata keys, in the fixed order they are written when present, each with
+# the type it is read back as. Keys not listed here read back as str.
+_META_TYPES = {
+    "solver": str,
+    "network_hash": str,
+    "v_g": float,
+    "reference_energy_cm1": float,
+    "ports": _site_pairs,
+    "port_widths": lambda raw: dict(_site_pairs(raw)),
+}
 
 
 def _fmt_meta(value):
@@ -36,7 +50,7 @@ def _fmt_meta(value):
 
 def write_spectrum_csv(path, spec: Spectrum):
     lines = []
-    for key in _META_ORDER:
+    for key in _META_TYPES:
         if key in spec.metadata:
             lines.append(f"# {key} = {_fmt_meta(spec.metadata[key])}")
     lines.append(CSV_HEADER)
@@ -49,25 +63,15 @@ def write_spectrum_csv(path, spec: Spectrum):
             f"{energies[i]:.12e},{spec.T[i]:.12e},{spec.R[i]:.12e},"
             f"{spec.A_total[i]:.12e},{sink[i]:.12e},{deph[i]:.12e},{ohm[i]:.12e}"
         )
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _parse_meta_value(raw: str):
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_spectrum_csv(path) -> Spectrum:
     """Rebuild a Spectrum from a file written by write_spectrum_csv.
 
     The energy column must form a uniform grid; metadata lines come back as
-    a dict with numeric values parsed where possible.
+    a dict, each value read as the type _META_TYPES gives its key (str for
+    a key it does not list).
     """
     metadata = {}
     rows = []
@@ -81,7 +85,11 @@ def read_spectrum_csv(path) -> Spectrum:
                 body = line[1:].strip()
                 if "=" in body:
                     key, _, raw = body.partition("=")
-                    metadata[key.strip()] = _parse_meta_value(raw.strip())
+                    key = key.strip()
+                    try:
+                        metadata[key] = _META_TYPES.get(key, str)(raw.strip())
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: metadata {key!r}: {exc}") from None
                 continue
             if not header_seen:
                 if line != CSV_HEADER:
@@ -133,10 +141,11 @@ def format_fano_table(rows) -> str:
 
 def write_fano_csv(path, rows):
     """Rows are (label, FanoFit) pairs; one CSV line each."""
-    _write_text(path, format_fano_table(rows))
+    write_text(path, format_fano_table(rows))
 
 
-def _write_text(path, text):
+def write_text(path, text):
+    """Write text as UTF-8 with LF line ends, creating parent directories."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -113,12 +113,14 @@ class WaveguideCoupling:
     Each port is a (site, g) pair with a 1-based site number and a coupling
     amplitude g >= 0 in units such that the induced width is 2 g^2 / v_g.
     Both ports sit at the same position (separation d = 0), so a photon sees
-    a single combined scatterer.
+    a single combined scatterer. ohmic_fraction is the share of each port's
+    induced width lost to Ohmic heating of the wire; a change of ports keeps it.
     """
 
     ports: tuple[tuple[int, float], ...]
     v_g: float = 1.0
     d: float = 0.0
+    ohmic_fraction: float = OHMIC_FRACTION_DEFAULT
 
     def __post_init__(self):
         object.__setattr__(
@@ -265,11 +267,11 @@ def _coupling_matrix(entries, n: int) -> np.ndarray:
     return J
 
 
-def _port_ohmic_losses(wg: WaveguideCoupling, n_sites: int, ohmic_fraction: float) -> np.ndarray:
-    """Per-site Ohmic loss: ohmic_fraction times each port's induced width, zero off-port."""
+def _port_ohmic_losses(wg: WaveguideCoupling, n_sites: int) -> np.ndarray:
+    """Per-site Ohmic loss: wg.ohmic_fraction times each port's induced width, zero off-port."""
     ohmic = np.zeros(n_sites)
     for site, width in wg.port_widths().items():
-        ohmic[site - 1] = ohmic_fraction * width
+        ohmic[site - 1] = wg.ohmic_fraction * width
     return ohmic
 
 
@@ -283,9 +285,10 @@ def network_from_site_data(
     Dephasing broadening gamma_dp sits on the two port sites, the sink rate
     gamma_s on site 3 (transfer to the reaction center), and each port
     carries an Ohmic loss of ohmic_fraction times its induced width
-    2 g^2 / v_g. A per-site `loss_dephasing_cm1` or `loss_sink_cm1` array in
-    the data replaces the matching placement. Malformed data raises
-    SiteDataError naming the offending key or entry.
+    2 g^2 / v_g, a fraction the returned coupling carries. A per-site
+    `loss_dephasing_cm1` or `loss_sink_cm1` array in the data replaces the
+    matching placement. Malformed data raises SiteDataError naming the
+    offending key or entry.
     """
     unknown = set(data) - SITE_DATA_KEYS
     if unknown:
@@ -297,7 +300,7 @@ def network_from_site_data(
     if n < 6:
         raise SiteDataError(f"key 'epsilon_cm1' must list >= 6 sites for ports 1 and 6, got {n}")
     ports = ((1, float(g1)), (6, float(g6)))
-    wg = WaveguideCoupling(ports=ports, v_g=v_g)
+    wg = WaveguideCoupling(ports=ports, v_g=v_g, ohmic_fraction=ohmic_fraction)
 
     dephasing = np.zeros(n)
     dephasing[[site - 1 for site, _ in ports]] = gamma_dp
@@ -307,15 +310,22 @@ def network_from_site_data(
         dephasing = _site_values(data, "loss_dephasing_cm1", n)
     if "loss_sink_cm1" in data:
         sink = _site_values(data, "loss_sink_cm1", n)
-    breakdown = LossBreakdown(dephasing, _port_ohmic_losses(wg, n, ohmic_fraction), sink)
+    labels = data.get("labels", [])
+    if not (isinstance(labels, list) and len(labels) in (0, n)
+            and all(isinstance(label, str) for label in labels)):
+        raise SiteDataError(f"key 'labels' must list one string per site ({n} sites)")
+    reference = data.get("reference_energy_cm1", 0.0)
+    if type(reference) not in (int, float):
+        raise SiteDataError(f"key 'reference_energy_cm1' must be a number, got {reference!r}")
+    breakdown = LossBreakdown(dephasing, _port_ohmic_losses(wg, n), sink)
     net = SiteNetwork(
         n_sites=n,
         epsilon=_site_values(data, "epsilon_cm1", n),
         coupling=_coupling_matrix(data["coupling_upper_triangle_cm1"], n),
         loss=breakdown.total(),
         loss_breakdown=breakdown,
-        labels=tuple(data.get("labels", ())),
-        reference_energy=float(data.get("reference_energy_cm1", 0.0)),
+        labels=tuple(labels),
+        reference_energy=float(reference),
     )
     return net, wg
 
@@ -339,10 +349,8 @@ def fmo_preset(
         raise PresetDataError(f"preset data file {PRESET_DATA_FILE!r}: {exc}") from exc
 
 
-def rebuild_port_losses(
-    net: SiteNetwork, old_wg: WaveguideCoupling, new_wg: WaveguideCoupling,
-    ohmic_fraction: float = OHMIC_FRACTION_DEFAULT,
-) -> SiteNetwork:
+def rebuild_port_losses(net: SiteNetwork, old_wg: WaveguideCoupling,
+                        new_wg: WaveguideCoupling) -> SiteNetwork:
     """Recompute per-port Ohmic losses after the port amplitudes change.
 
     The Ohmic channel follows the waveguide-induced width of each port, so
@@ -351,6 +359,6 @@ def rebuild_port_losses(
     """
     ohmic = np.array(net.loss_breakdown.ohmic)
     ohmic[[site - 1 for site, _ in old_wg.ports + new_wg.ports]] = 0.0
-    ohmic += _port_ohmic_losses(new_wg, net.n_sites, ohmic_fraction)
+    ohmic += _port_ohmic_losses(new_wg, net.n_sites)
     breakdown = replace(net.loss_breakdown, ohmic=ohmic)
     return replace(net, loss=breakdown.total(), loss_breakdown=breakdown)

@@ -227,7 +227,7 @@ def default_grid(net: SiteNetwork, n_points: int = DEFAULT_GRID_POINTS,
 
 
 def _sweep_metadata(net, wg, solver):
-    meta = {
+    return {
         "solver": solver,
         "network_hash": network_fingerprint(net),
         "v_g": wg.v_g,
@@ -235,13 +235,6 @@ def _sweep_metadata(net, wg, solver):
         "ports": tuple(wg.ports),
         "port_widths": wg.port_widths(),
     }
-    by_site = dict(wg.ports)
-    if set(by_site) == {1, 6}:
-        meta["g1"] = by_site[1]
-        meta["g6"] = by_site[6]
-        if by_site[6] > 0:
-            meta["g1_over_g6"] = by_site[1] / by_site[6]
-    return meta
 
 
 def sweep_spectrum(net: SiteNetwork, wg: WaveguideCoupling, grid: ProbeGrid,

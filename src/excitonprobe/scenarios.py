@@ -16,13 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.signal import find_peaks
 
-from .model import (
-    LossBreakdown,
-    OHMIC_FRACTION_DEFAULT,
-    SiteNetwork,
-    WaveguideCoupling,
-    rebuild_port_losses,
-)
+from .model import LossBreakdown, SiteNetwork, WaveguideCoupling, rebuild_port_losses
 from .scattering import Spectrum, sweep_spectrum
 
 DEFAULT_PROMINENCE = 0.01
@@ -63,10 +57,9 @@ class RemoveSite:
 
 @dataclass(frozen=True)
 class SetPortAmplitudes:
-    """Probe the unchanged network with different port amplitudes."""
+    """Probe the unchanged network with different port amplitudes on the same wire."""
 
     ports: tuple
-    ohmic_fraction: float = OHMIC_FRACTION_DEFAULT
     label: str = ""
 
     def __post_init__(self):
@@ -86,7 +79,8 @@ def apply_defect(net: SiteNetwork, wg: WaveguideCoupling, scenario):
 
     InhibitCoupling and RemoveSite leave the waveguide side untouched apart
     from port-index remapping; SetPortAmplitudes leaves the site structure
-    untouched apart from retuning the per-port Ohmic loss.
+    untouched apart from retuning the per-port Ohmic loss at the wire's
+    Ohmic fraction.
     """
     if isinstance(scenario, InhibitCoupling):
         _check_site(net, scenario.site_a)
@@ -122,15 +116,13 @@ def apply_defect(net: SiteNetwork, wg: WaveguideCoupling, scenario):
             labels=tuple(net.labels[i] for i in keep),
         )
         new_ports = tuple((s - 1 if s > scenario.site else s, g) for s, g in wg.ports)
-        new_wg = WaveguideCoupling(ports=new_ports, v_g=wg.v_g, d=wg.d)
-        return new_net, new_wg
+        return new_net, replace(wg, ports=new_ports)
 
     if isinstance(scenario, SetPortAmplitudes):
         for s, _ in scenario.ports:
             _check_site(net, s)
-        new_wg = WaveguideCoupling(ports=scenario.ports, v_g=wg.v_g, d=wg.d)
-        new_net = rebuild_port_losses(net, wg, new_wg, scenario.ohmic_fraction)
-        return new_net, new_wg
+        new_wg = replace(wg, ports=scenario.ports)
+        return rebuild_port_losses(net, wg, new_wg), new_wg
 
     raise ScenarioError(f"unknown scenario type {type(scenario).__name__}")
 

@@ -7,10 +7,11 @@ no timestamps, so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
-import os
 from xml.sax.saxutils import escape
 
 import numpy as np
+
+from .csvio import write_text
 
 WIDTH = 1024
 HEIGHT = 640
@@ -139,9 +140,5 @@ def render_overlay(base_spec, defect_spec=None, base_label: str = "baseline",
 
 def write_overlay(path, base_spec, defect_spec=None, base_label="baseline",
                   defect_label="defect", title=""):
-    doc = render_overlay(base_spec, defect_spec, base_label=base_label,
-                         defect_label=defect_label, title=title)
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(doc)
+    write_text(path, render_overlay(base_spec, defect_spec, base_label=base_label,
+                                     defect_label=defect_label, title=title))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from excitonprobe.cli import main
-from excitonprobe.config import ConfigError, RunConfig, build_setup, parse_config
+from excitonprobe.config import ConfigError, build_setup, parse_config
 from excitonprobe.csvio import FANO_CSV_HEADER, read_spectrum_csv
 from excitonprobe.model import fmo_preset, network_fingerprint
 from excitonprobe.scenarios import (
@@ -152,16 +152,18 @@ class TestParseConfig:
             scenarios=[{"type": "set_port_amplitudes", "ports": [[1, 10], [6, 10]]}],
         )
         cfg = parse_config(path)
-        assert cfg.scenarios[0].ohmic_fraction == 0.5
         net, wg, grid = build_setup(cfg)
         report = run_scenario_suite(net, wg, grid, cfg.scenarios)
         entry = report["scenarios"][0]
         assert entry["ok"] is True
         assert entry["diff"] == {"l2": 0.0, "l_inf": 0.0, "area": 0.0, "extrema_delta": 0}
 
-    def test_g_ratio_none_for_silent_port(self):
-        assert RunConfig(g6=0.0).g_ratio is None
-        assert RunConfig(g1=10.0, g6=0.1).g_ratio == pytest.approx(100.0)
+    def test_port_probe_ohmic_fraction_key_rejected(self, tmp_path):
+        # the Ohmic fraction belongs to the wire, set once per run
+        path = write_config(tmp_path, scenarios=[
+            {"type": "set_port_amplitudes", "ports": [[1, 10]], "ohmic_fraction": 0.5}])
+        with pytest.raises(ConfigError, match="unknown key 'ohmic_fraction'"):
+            parse_config(path)
 
 
 class TestBuildSetup:
@@ -172,7 +174,7 @@ class TestBuildSetup:
                             grid={"e_min": 0, "e_max": 10, "n_points": 21})
         net, wg, grid = build_setup(parse_config(path))
         spec = sweep_spectrum(net, wg, grid)
-        assert spec.metadata["g1_over_g6"] == pytest.approx(100.0)
+        assert spec.metadata["ports"] == ((1, 10.0), (6, 0.1))
 
     def test_custom_network_file(self, tmp_path):
         netfile = tmp_path / "toy.json"
@@ -231,7 +233,11 @@ class TestBuildSetup:
         (lambda d: d.update(loss_sink_cm=[0.0] * 7), "unknown site-data key 'loss_sink_cm'"),
         (lambda d: d.update(coupling_upper_triangle_cm1=5),
          "'coupling_upper_triangle_cm1' must be a list"),
-    ], ids=["non-integer-site", "mirrored-pair", "unknown-key", "coupling-not-a-list"])
+        (lambda d: d.update(labels="abcdefg"), "'labels' must list one string per site"),
+        (lambda d: d.update(labels=["only"]), "'labels' must list one string per site"),
+        (lambda d: d.update(reference_energy_cm1="x"), "'reference_energy_cm1' must be a number"),
+    ], ids=["non-integer-site", "mirrored-pair", "unknown-key", "coupling-not-a-list",
+            "labels-string", "labels-too-few", "reference-energy-string"])
     def test_malformed_network_file_rejected(self, tmp_path, change, message):
         data = bundled_site_data()
         change(data)

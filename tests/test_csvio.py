@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,10 +45,24 @@ class TestRoundTrip:
         md = back.metadata
         assert md["solver"] == "closed_form"
         assert md["v_g"] == 1.0
-        assert md["g1"] == 10.0
-        assert md["g6"] == 10.0
-        assert md["g1_over_g6"] == 1.0
-        assert str(md["network_hash"]) == baseline_spectrum.metadata["network_hash"]
+        assert md["ports"] == ((1, 10.0), (6, 10.0))
+        assert md["port_widths"] == {1: 200.0, 6: 200.0}
+        assert md["network_hash"] == baseline_spectrum.metadata["network_hash"]
+        assert md == baseline_spectrum.metadata
+
+    @pytest.mark.parametrize("network_hash", ["12e4567890123456", "0012345678901234"])
+    def test_hash_reads_back_as_written(self, baseline_spectrum, tmp_path, network_hash):
+        # a hex hash can look like a float or an int with leading zeros
+        spec = dataclasses.replace(baseline_spectrum, metadata=dict(
+            baseline_spectrum.metadata, network_hash=network_hash))
+        path = str(tmp_path / "hash.csv")
+        write_spectrum_csv(path, spec)
+        assert read_spectrum_csv(path).metadata["network_hash"] == network_hash
+
+    def test_unknown_metadata_key_reads_as_text(self, csv_path, tmp_path):
+        path = tmp_path / "legacy.csv"
+        path.write_text("# g1 = 10.0\n" + Path(csv_path).read_text())
+        assert read_spectrum_csv(str(path)).metadata["g1"] == "10.0"
 
     def test_read_arrays_are_read_only(self, csv_path):
         back = read_spectrum_csv(csv_path)

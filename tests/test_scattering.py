@@ -234,9 +234,8 @@ class TestSweepSpectrum:
         md = baseline_spectrum.metadata
         assert md["solver"] == "closed_form"
         assert md["v_g"] == 1.0
-        assert md["g1"] == 10.0
-        assert md["g6"] == 10.0
-        assert md["g1_over_g6"] == 1.0
+        assert md["ports"] == ((1, 10.0), (6, 10.0))
+        assert md["port_widths"] == {1: 200.0, 6: 200.0}
         assert len(md["network_hash"]) == 16
 
     def test_energies_property_matches_grid(self, baseline_spectrum, preset_grid):

@@ -7,7 +7,9 @@ import pytest
 import conftest
 from randnets import single_emitter
 
-from excitonprobe.model import LossBreakdown, ProbeGrid, SiteNetwork, WaveguideCoupling
+from excitonprobe.model import (
+    LossBreakdown, ProbeGrid, SiteNetwork, WaveguideCoupling, fmo_preset,
+)
 from excitonprobe.scattering import sweep_spectrum
 from excitonprobe.scenarios import (
     InhibitCoupling,
@@ -140,6 +142,22 @@ class TestApplyPortRetune:
         )
         assert np.array_equal(new_net.coupling, net.coupling)
         assert np.array_equal(new_net.epsilon, net.epsilon)
+
+    def test_baseline_ports_are_a_null_probe_on_any_wire(self):
+        # the probe retunes g on the same wire, so the Ohmic fraction stays 0.5
+        net, wg = fmo_preset(ohmic_fraction=0.5)
+        new_net, new_wg = apply_defect(net, wg, SetPortAmplitudes(((1, 10.0), (6, 10.0))))
+        assert np.array_equal(new_net.loss_breakdown.ohmic, [100, 0, 0, 0, 0, 100, 0])
+        grid = ProbeGrid(-171.0, 893.0, 401)
+        diff = spectral_difference(sweep_spectrum(net, wg, grid),
+                                   sweep_spectrum(new_net, new_wg, grid))
+        assert diff.as_dict() == {"l2": 0.0, "l_inf": 0.0, "area": 0.0, "extrema_delta": 0}
+
+    @pytest.mark.parametrize("scenario", [RemoveSite(5), SetPortAmplitudes(((1, 10.0), (6, 0.1)))])
+    def test_defects_keep_the_wire(self, scenario):
+        net, wg = fmo_preset(ohmic_fraction=0.5, v_g=2.0)
+        _, new_wg = apply_defect(net, wg, scenario)
+        assert (new_wg.ohmic_fraction, new_wg.v_g) == (0.5, 2.0)
 
 
 def constant_spectrum(value=0.7, n=50):
