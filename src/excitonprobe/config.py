@@ -142,6 +142,9 @@ def parse_config(path) -> RunConfig:
             kwargs[key] = _require_number(data, key)
     if kwargs.get("g1", 10.0) < 0 or kwargs.get("g6", 10.0) < 0:
         raise ConfigError("port amplitudes g1, g6 must be >= 0")
+    for key in ("gamma_dp", "gamma_s", "ohmic_fraction"):
+        if kwargs.get(key, 0.0) < 0:
+            raise ConfigError(f"config key {key!r} must be >= 0, got {kwargs[key]!r}")
     if kwargs.get("v_g", 1.0) <= 0:
         raise ConfigError("group velocity v_g must be > 0")
     if kwargs.get("prominence", DEFAULT_PROMINENCE) <= 0:

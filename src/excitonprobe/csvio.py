@@ -16,6 +16,8 @@ from .model import ProbeGrid
 from .scattering import Spectrum
 
 CSV_HEADER = "E_cm1,T,R,A_total,A_sink,A_dephasing,A_ohmic"
+_CSV_ROW = ",".join(["%.12e"] * 7) + "\n"
+_CSV_BLOCK_ROWS = 4096
 
 FANO_CSV_HEADER = "label,q,e_res,gamma_w,t_bg,residual,converged"
 
@@ -54,16 +56,15 @@ def write_spectrum_csv(path, spec: Spectrum):
         if key in spec.metadata:
             lines.append(f"# {key} = {_fmt_meta(spec.metadata[key])}")
     lines.append(CSV_HEADER)
-    energies = spec.energies
-    sink = spec.A_channels["sink"]
-    deph = spec.A_channels["dephasing"]
-    ohm = spec.A_channels["ohmic"]
-    for i in range(spec.grid.n_points):
-        lines.append(
-            f"{energies[i]:.12e},{spec.T[i]:.12e},{spec.R[i]:.12e},"
-            f"{spec.A_total[i]:.12e},{sink[i]:.12e},{deph[i]:.12e},{ohm[i]:.12e}"
-        )
-    write_text(path, "\n".join(lines) + "\n")
+    # One row-major array of the seven columns, formatted by one % call per
+    # block of rows, so a long grid never holds all its row text and floats at once.
+    data = np.column_stack((spec.energies, spec.T, spec.R, spec.A_total,
+                            *(spec.A_channels[name] for name in ("sink", "dephasing", "ohmic"))))
+    with _open_text(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+        for start in range(0, len(data), _CSV_BLOCK_ROWS):
+            block = data[start:start + _CSV_BLOCK_ROWS]
+            fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_spectrum_csv(path) -> Spectrum:
@@ -144,8 +145,13 @@ def write_fano_csv(path, rows):
     write_text(path, format_fano_table(rows))
 
 
+def _open_text(path):
+    """Open path for UTF-8 text with LF line ends, creating parent directories."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_text(path, text):
     """Write text as UTF-8 with LF line ends, creating parent directories."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_text(path) as fh:
         fh.write(text)

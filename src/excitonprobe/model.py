@@ -202,26 +202,30 @@ def validate_network(net: SiteNetwork) -> list[str]:
         return violations
 
     for arr, name in ((net.epsilon, "epsilon"), (net.coupling, "coupling"), (net.loss, "loss")):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             violations.append(f"non-finite values in {name}")
 
+    # Flag the diagonal and the asymmetric pairs in one matrix, so that the
+    # row-major order of np.nonzero lists site i's diagonal before its pairs (i, j > i).
     J = net.coupling
-    for i in range(n):
-        if J[i, i] != 0.0:
-            violations.append(f"nonzero coupling diagonal at site {i + 1}")
-        for j in range(i + 1, n):
-            if J[i, j] != J[j, i]:
-                violations.append(f"asymmetric coupling ({i + 1},{j + 1})")
+    bad = J != J.T
+    np.fill_diagonal(bad, J.diagonal() != 0.0)
+    if bad.any():
+        for i, j in zip(*np.nonzero(np.triu(bad))):
+            violations.append(f"nonzero coupling diagonal at site {i + 1}" if i == j
+                              else f"asymmetric coupling ({i + 1},{j + 1})")
 
     for name, arr in net.loss_breakdown.as_dict().items():
-        for i in range(n):
-            if arr[i] < 0:
-                violations.append(f"negative {name} loss at site {i + 1}")
-    total = net.loss_breakdown.total()
-    for i in range(n):
-        if net.loss[i] < 0:
+        violations.extend(f"negative {name} loss at site {i + 1}" for i in np.flatnonzero(arr < 0))
+    loss, total = net.loss, net.loss_breakdown.total()
+    negative = loss < 0
+    # np.isclose(loss, total, rtol=0, atol=1e-12): equal infinities are close, NaN never is.
+    with np.errstate(invalid="ignore"):
+        mismatch = ~((loss == total) | (np.abs(loss - total) <= 1e-12))
+    for i in np.flatnonzero(negative | mismatch):
+        if negative[i]:
             violations.append(f"negative loss at site {i + 1}")
-        if not np.isclose(net.loss[i], total[i], rtol=0.0, atol=1e-12):
+        if mismatch[i]:
             violations.append(f"loss_breakdown mismatch at site {i + 1}")
 
     return violations

@@ -68,6 +68,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="g1, g6"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key", ["gamma_dp", "gamma_s", "ohmic_fraction"])
+    def test_negative_loss_rate_rejected_and_named(self, tmp_path, key):
+        assert getattr(parse_config(write_config(tmp_path, "zero.json", **{key: 0.0})), key) == 0.0
+        path = write_config(tmp_path, **{key: -1.0})
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be >= 0"):
+            parse_config(path)
+
     def test_unknown_solver_rejected(self, tmp_path):
         path = write_config(tmp_path, solver="magic")
         with pytest.raises(ConfigError, match="solver"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from excitonprobe.csvio import (
+    _CSV_BLOCK_ROWS,
     CSV_HEADER,
     FANO_CSV_HEADER,
     read_spectrum_csv,
@@ -12,6 +13,8 @@ from excitonprobe.csvio import (
     write_fano_csv,
 )
 from excitonprobe.fano import FanoFit
+from excitonprobe.model import ProbeGrid
+from excitonprobe.scattering import Spectrum
 
 
 @pytest.fixture()
@@ -81,6 +84,42 @@ class TestDeterminism:
     def test_unix_newlines(self, csv_path):
         raw = open(csv_path, "rb").read()
         assert b"\r" not in raw
+
+
+def per_row_text(spec):
+    """Data rows formatted one f-string per row: the reference for the writer."""
+    energies = spec.energies
+    sink = spec.A_channels["sink"]
+    deph = spec.A_channels["dephasing"]
+    ohm = spec.A_channels["ohmic"]
+    return "".join(
+        f"{energies[i]:.12e},{spec.T[i]:.12e},{spec.R[i]:.12e},"
+        f"{spec.A_total[i]:.12e},{sink[i]:.12e},{deph[i]:.12e},{ohm[i]:.12e}\n"
+        for i in range(spec.grid.n_points)
+    )
+
+
+class TestWriterText:
+    # -0.0, the smallest subnormal, values that round up at the 13th digit
+    # (one of them into the next decade), huge, infinite and NaN
+    AWKWARD = np.array([-0.0, 5e-324, -5e-324, 1.2345678901235, 9.9999999999995e-1,
+                        -9.99999999999951e99, 1e300, -1e-300, np.inf, -np.inf, np.nan, 0.0])
+
+    def test_awkward_values_match_per_row_format(self, tmp_path):
+        # more rows than two of the writer's blocks, so block edges are covered
+        n = 2 * _CSV_BLOCK_ROWS + len(self.AWKWARD)
+        cols = [np.roll(np.resize(self.AWKWARD, n), k) for k in range(6)]
+        spec = Spectrum(grid=ProbeGrid(-1e-7, 3.0, n), T=cols[0], R=cols[1], A_total=cols[2],
+                        A_channels={"sink": cols[3], "dephasing": cols[4], "ohmic": cols[5]},
+                        metadata={})
+        path = tmp_path / "awkward.csv"
+        write_spectrum_csv(str(path), spec)
+        got = path.read_text().splitlines(keepends=True)
+        want = (CSV_HEADER + "\n" + per_row_text(spec)).splitlines(keepends=True)
+        assert len(got) == len(want)
+        # report the first (written, expected) pair that differs: pytest's full
+        # diff of two texts this long takes minutes
+        assert next(((a, b) for a, b in zip(got, want) if a != b), None) is None
 
 
 class TestReaderValidation:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excitonprobe.model import (
     LOSS_CHANNELS,
@@ -15,6 +17,7 @@ from excitonprobe.model import (
     rebuild_port_losses,
     validate_network,
 )
+from randnets import random_instance
 
 
 def small_network(n=3, loss=None):
@@ -28,6 +31,68 @@ def small_network(n=3, loss=None):
     return SiteNetwork(
         n_sites=n, epsilon=eps, coupling=J, loss=bd.total(), loss_breakdown=bd
     )
+
+
+def loop_validate_network(net):
+    """validate_network as a per-site Python loop: the reference the array
+    version must match message for message, in the same order."""
+    violations = []
+    n = net.n_sites
+    if n < 1:
+        violations.append(f"n_sites must be >= 1, got {n}")
+        return violations
+
+    if net.epsilon.shape != (n,):
+        violations.append(f"epsilon shape {net.epsilon.shape} inconsistent with n_sites {n}")
+    if net.coupling.shape != (n, n):
+        violations.append(f"coupling shape {net.coupling.shape} inconsistent with n_sites {n}")
+    if net.loss.shape != (n,):
+        violations.append(f"loss shape {net.loss.shape} inconsistent with n_sites {n}")
+    for name, arr in net.loss_breakdown.as_dict().items():
+        if arr.shape != (n,):
+            violations.append(
+                f"loss_breakdown[{name}] shape {arr.shape} inconsistent with n_sites {n}"
+            )
+    if len(net.labels) != n:
+        violations.append(f"{len(net.labels)} labels for {n} sites")
+    if violations:
+        return violations
+
+    for arr, name in ((net.epsilon, "epsilon"), (net.coupling, "coupling"), (net.loss, "loss")):
+        if not np.all(np.isfinite(arr)):
+            violations.append(f"non-finite values in {name}")
+
+    J = net.coupling
+    for i in range(n):
+        if J[i, i] != 0.0:
+            violations.append(f"nonzero coupling diagonal at site {i + 1}")
+        for j in range(i + 1, n):
+            if J[i, j] != J[j, i]:
+                violations.append(f"asymmetric coupling ({i + 1},{j + 1})")
+
+    for name, arr in net.loss_breakdown.as_dict().items():
+        for i in range(n):
+            if arr[i] < 0:
+                violations.append(f"negative {name} loss at site {i + 1}")
+    total = net.loss_breakdown.total()
+    for i in range(n):
+        if net.loss[i] < 0:
+            violations.append(f"negative loss at site {i + 1}")
+        if not np.isclose(net.loss[i], total[i], rtol=0.0, atol=1e-12):
+            violations.append(f"loss_breakdown mismatch at site {i + 1}")
+
+    return violations
+
+
+# Values that sit on an edge of some check: non-finite, signed zero, the
+# smallest negative subnormal, and differences just inside and outside the
+# 1e-12 loss tolerance.
+EDGE_VALUES = [np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, -5e-324, 5e-13, 2e-12, 3.0]
+CORRUPTION = st.tuples(
+    st.sampled_from(("epsilon", "coupling", "loss") + LOSS_CHANNELS),
+    st.integers(0, 63), st.integers(0, 63),
+    st.one_of(st.sampled_from(EDGE_VALUES), st.floats()),
+)
 
 
 class TestInducedWidth:
@@ -180,6 +245,51 @@ class TestValidateNetwork:
             loss=bd.total(), loss_breakdown=bd,
         )
         assert any("negative dephasing loss at site 1" in m for m in validate_network(bad))
+
+    def test_messages_keep_the_loop_order(self):
+        # site 2's diagonal comes before its pair (2,4); channels come in
+        # LOSS_CHANNELS order; per site, "negative loss" before "mismatch"
+        n = 4
+        J = np.zeros((n, n))
+        J[0, 2] = np.nan
+        J[1, 1] = 3.0
+        J[1, 3], J[3, 1] = 1.0, 2.0
+        bd = LossBreakdown(dephasing=[0.0, 0.0, -1.0, 0.0], ohmic=np.zeros(n),
+                           sink=[-2.0, 0.0, 0.0, 0.0])
+        loss = bd.total()
+        loss[1] += 1.0
+        loss[3] = -1.0
+        bad = SiteNetwork(n_sites=n, epsilon=np.zeros(n), coupling=J,
+                          loss=loss, loss_breakdown=bd)
+        assert validate_network(bad) == [
+            "non-finite values in coupling",
+            "asymmetric coupling (1,3)",
+            "nonzero coupling diagonal at site 2",
+            "asymmetric coupling (2,4)",
+            "negative dephasing loss at site 3",
+            "negative sink loss at site 1",
+            "negative loss at site 1",
+            "loss_breakdown mismatch at site 2",
+            "negative loss at site 3",
+            "negative loss at site 4",
+            "loss_breakdown mismatch at site 4",
+        ]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), corruptions=st.lists(CORRUPTION, max_size=6))
+    def test_matches_loop_on_corrupted_random_networks(self, seed, corruptions):
+        net, _, _ = random_instance(np.random.default_rng(seed))
+        n = net.n_sites
+        arrays = {"epsilon": np.array(net.epsilon), "coupling": np.array(net.coupling),
+                  "loss": np.array(net.loss)}
+        arrays.update((name, np.array(a)) for name, a in net.loss_breakdown.as_dict().items())
+        for target, i, j, value in corruptions:
+            index = (i % n, j % n) if target == "coupling" else i % n
+            arrays[target][index] = value
+        bd = LossBreakdown(**{name: arrays[name] for name in LOSS_CHANNELS})
+        bad = SiteNetwork(n_sites=n, epsilon=arrays["epsilon"], coupling=arrays["coupling"],
+                          loss=arrays["loss"], loss_breakdown=bd)
+        assert validate_network(bad) == loop_validate_network(bad)
 
     def test_shape_mismatch_reported(self):
         bd = LossBreakdown.zeros(3)
