@@ -36,19 +36,20 @@ def cmd_spectrum(args) -> int:
 def cmd_scenario(args) -> int:
     cfg = parse_config(args.config)
     net, wg, grid = build_setup(cfg)
-    report = run_scenario_suite(net, wg, grid, cfg.scenarios, solver=cfg.solver,
-                                prominence=cfg.prominence, out_dir=cfg.output_dir)
-    if cfg.emit_svg:
-        base_spec = csvio.read_spectrum_csv(report["baseline"]["csv"])
-        for entry in report["scenarios"]:
-            if not entry.get("ok"):
-                continue
-            defect_spec = csvio.read_spectrum_csv(entry["csv"])
+
+    def write_files(entry, spec, base_spec):
+        csv_path = os.path.join(cfg.output_dir, f"{entry['label']}.csv")
+        csvio.write_spectrum_csv(csv_path, spec)
+        entry["csv"] = csv_path
+        if cfg.emit_svg and spec is not base_spec:
             svg_path = os.path.join(cfg.output_dir, f"{entry['label']}.svg")
-            svgplot.write_overlay(svg_path, base_spec, defect_spec,
+            svgplot.write_overlay(svg_path, base_spec, spec,
                                   base_label="baseline", defect_label=entry["label"],
                                   title=entry["label"])
             entry["svg"] = svg_path
+
+    report = run_scenario_suite(net, wg, grid, cfg.scenarios, solver=cfg.solver,
+                                prominence=cfg.prominence, on_spectrum=write_files)
 
     report_path = os.path.join(cfg.output_dir, "report.json")
     csvio.write_text(report_path,

@@ -112,14 +112,14 @@ class WaveguideCoupling:
 
     Each port is a (site, g) pair with a 1-based site number and a coupling
     amplitude g >= 0 in units such that the induced width is 2 g^2 / v_g.
-    Both ports sit at the same position (separation d = 0), so a photon sees
-    a single combined scatterer. ohmic_fraction is the share of each port's
-    induced width lost to Ohmic heating of the wire; a change of ports keeps it.
+    All ports sit at the same waveguide position (zero separation), so a
+    photon sees a single combined scatterer. ohmic_fraction is the share of
+    each port's induced width lost to Ohmic heating of the wire; a change of
+    ports keeps it.
     """
 
     ports: tuple[tuple[int, float], ...]
     v_g: float = 1.0
-    d: float = 0.0
     ohmic_fraction: float = OHMIC_FRACTION_DEFAULT
 
     def __post_init__(self):
@@ -136,8 +136,6 @@ class WaveguideCoupling:
                 raise ValueError(f"negative port amplitude g={g} at site {s}")
         if self.v_g <= 0:
             raise ValueError(f"group velocity must be positive, got {self.v_g}")
-        if self.d != 0:
-            raise ValueError("finite port separation is not supported (d must be 0)")
 
     def amplitude_vector(self, n_sites: int) -> np.ndarray:
         """Coupling amplitudes as a length-N vector (zero off-port)."""
@@ -217,10 +215,12 @@ def validate_network(net: SiteNetwork) -> list[str]:
 
     for name, arr in net.loss_breakdown.as_dict().items():
         violations.extend(f"negative {name} loss at site {i + 1}" for i in np.flatnonzero(arr < 0))
-    loss, total = net.loss, net.loss_breakdown.total()
+    loss = net.loss
     negative = loss < 0
     # np.isclose(loss, total, rtol=0, atol=1e-12): equal infinities are close, NaN never is.
+    # inf + -inf across channels gives NaN, so the total is summed under errstate too.
     with np.errstate(invalid="ignore"):
+        total = net.loss_breakdown.total()
         mismatch = ~((loss == total) | (np.abs(loss - total) <= 1e-12))
     for i in np.flatnonzero(negative | mismatch):
         if negative[i]:
@@ -249,6 +249,16 @@ def _site_values(data: dict, key: str, n: int) -> np.ndarray:
             or any(type(v) not in (int, float) for v in values)):
         raise SiteDataError(f"key {key!r} must list one number per site ({n} sites)")
     return np.array(values, dtype=float)
+
+
+def _loss_values(data: dict, key: str, n: int) -> np.ndarray:
+    values = _site_values(data, key, n)
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+    if bad.size:
+        i = bad[0]
+        raise SiteDataError(f"key {key!r} must hold finite rates >= 0; "
+                            f"site {i + 1} has {values[i]:g}")
+    return values
 
 
 def _coupling_matrix(entries, n: int) -> np.ndarray:
@@ -291,8 +301,8 @@ def network_from_site_data(
     carries an Ohmic loss of ohmic_fraction times its induced width
     2 g^2 / v_g, a fraction the returned coupling carries. A per-site
     `loss_dephasing_cm1` or `loss_sink_cm1` array in the data replaces the
-    matching placement. Malformed data raises SiteDataError naming the
-    offending key or entry.
+    matching placement; its rates must be finite and >= 0. Malformed data
+    raises SiteDataError naming the offending key or entry.
     """
     unknown = set(data) - SITE_DATA_KEYS
     if unknown:
@@ -311,9 +321,9 @@ def network_from_site_data(
     sink = np.zeros(n)
     sink[3 - 1] = gamma_s
     if "loss_dephasing_cm1" in data:
-        dephasing = _site_values(data, "loss_dephasing_cm1", n)
+        dephasing = _loss_values(data, "loss_dephasing_cm1", n)
     if "loss_sink_cm1" in data:
-        sink = _site_values(data, "loss_sink_cm1", n)
+        sink = _loss_values(data, "loss_sink_cm1", n)
     labels = data.get("labels", [])
     if not (isinstance(labels, list) and len(labels) in (0, n)
             and all(isinstance(label, str) for label in labels)):

@@ -59,9 +59,9 @@ class PoleError(ArithmeticError):
     """Probe energy sits exactly on a scattering pole of the network."""
 
     def __init__(self, energy, grid_index=None):
-        self.energy = energy
+        self.energy = float(energy)
         self.grid_index = grid_index
-        msg = f"singular scattering problem at E = {energy!r} cm^-1"
+        msg = f"singular scattering problem at E = {self.energy!r} cm^-1"
         if grid_index is not None:
             msg += f" (grid index {grid_index})"
         super().__init__(msg)
@@ -238,13 +238,13 @@ def _sweep_metadata(net, wg, solver):
 
 
 def sweep_spectrum(net: SiteNetwork, wg: WaveguideCoupling, grid: ProbeGrid,
-                   solver: str = "closed_form", nudge_poles: bool = True) -> Spectrum:
+                   solver: str = "closed_form") -> Spectrum:
     """Evaluate the chosen solver at every grid point.
 
     A grid point that lands exactly on a pole is retried once, nudged up by
-    1e-9 of the grid spacing; with nudge_poles=False (or if the nudged point
-    still fails) the PoleError propagates, carrying the grid index. Output
-    is deterministic and independent of evaluation order.
+    1e-9 of the grid spacing; if the nudged point still fails, the PoleError
+    propagates, carrying the grid index. Output is deterministic and
+    independent of evaluation order.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}, expected one of {sorted(SOLVERS)}")
@@ -260,8 +260,6 @@ def sweep_spectrum(net: SiteNetwork, wg: WaveguideCoupling, grid: ProbeGrid,
         try:
             sol = solve(net, wg, energy)
         except PoleError:
-            if not nudge_poles:
-                raise PoleError(energy, grid_index=i) from None
             try:
                 sol = solve(net, wg, energy + POLE_NUDGE * grid.spacing)
             except PoleError:

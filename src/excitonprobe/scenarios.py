@@ -9,7 +9,6 @@ in the emitted CSVs but not scored.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -184,59 +183,47 @@ def spectral_difference(base: Spectrum, mod: Spectrum,
     )
 
 
-def _extrema_rows(extrema):
-    return [{"energy": e.energy, "T": e.T, "kind": e.kind} for e in extrema]
+def _spectrum_entry(label: str, spec: Spectrum, prominence: float) -> dict:
+    extrema = find_extrema(spec, prominence)
+    return {
+        "label": label,
+        "dip_count": sum(1 for e in extrema if e.kind == "dip"),
+        "extrema": [{"energy": e.energy, "T": e.T, "kind": e.kind} for e in extrema],
+    }
 
 
 def run_scenario_suite(net: SiteNetwork, wg: WaveguideCoupling, grid,
                        scenarios, solver: str = "closed_form",
                        prominence: float = DEFAULT_PROMINENCE,
-                       out_dir=None) -> dict:
+                       on_spectrum=None) -> dict:
     """Baseline once, then each scenario: spectrum, diff, extrema.
 
-    A scenario that fails is recorded with ok=False and its error message;
-    the remaining scenarios still run. With out_dir set, the baseline and
-    every successful scenario get a CSV file whose path appears in the
-    report entry.
+    A scenario whose defect or sweep fails is recorded with ok=False and its
+    error message; the remaining scenarios still run. on_spectrum, if given,
+    is called as on_spectrum(entry, spec, base_spec) for the baseline and then
+    for each successful scenario once its report entry is complete; it may add
+    keys to the entry. Only the baseline and the current defect spectrum are
+    held at any time.
     """
-    from . import csvio
-
     base_spec = sweep_spectrum(net, wg, grid, solver=solver)
-    base_extrema = find_extrema(base_spec, prominence)
-    base_entry = {
-        "label": "baseline",
-        "dip_count": sum(1 for e in base_extrema if e.kind == "dip"),
-        "extrema": _extrema_rows(base_extrema),
-        "csv": None,
-    }
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "baseline.csv")
-        csvio.write_spectrum_csv(path, base_spec)
-        base_entry["csv"] = path
+    base_entry = _spectrum_entry("baseline", base_spec, prominence)
+    if on_spectrum is not None:
+        on_spectrum(base_entry, base_spec, base_spec)
 
     entries = []
     for scenario in scenarios:
-        entry = {"label": scenario.label}
         try:
             d_net, d_wg = apply_defect(net, wg, scenario)
             d_spec = sweep_spectrum(d_net, d_wg, grid, solver=solver)
-            diff = spectral_difference(base_spec, d_spec, prominence)
-            d_extrema = find_extrema(d_spec, prominence)
-            entry.update(
-                ok=True,
-                diff=diff.as_dict(),
-                dip_count=sum(1 for e in d_extrema if e.kind == "dip"),
-                extrema=_extrema_rows(d_extrema),
-                csv=None,
-            )
-            if out_dir is not None:
-                path = os.path.join(out_dir, f"{scenario.label}.csv")
-                csvio.write_spectrum_csv(path, d_spec)
-                entry["csv"] = path
         except Exception as exc:
-            entry.update(ok=False, error=f"{type(exc).__name__}: {exc}")
+            entries.append({"label": scenario.label, "ok": False,
+                            "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        entry = _spectrum_entry(scenario.label, d_spec, prominence)
+        entry.update(ok=True, diff=spectral_difference(base_spec, d_spec, prominence).as_dict())
         entries.append(entry)
+        if on_spectrum is not None:
+            on_spectrum(entry, d_spec, base_spec)
 
     return {
         "baseline": base_entry,

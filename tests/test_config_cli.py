@@ -253,6 +253,16 @@ class TestBuildSetup:
         with pytest.raises(ConfigError, match=message):
             build_setup(parse_config(path))
 
+    @pytest.mark.parametrize("loss_key", ["loss_dephasing_cm1", "loss_sink_cm1"])
+    def test_negative_file_loss_rejected(self, tmp_path, loss_key):
+        name = write_network_file(tmp_path, dict(bundled_site_data(),
+                                                 **{loss_key: [0, 0, -5.3, 0, 0, 0, 0]}))
+        path = write_config(tmp_path, network="file", network_file=name)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"network file '{tmp_path / name}': key '{loss_key}' "
+                "must hold finite rates >= 0; site 3 has -5.3")):
+            build_setup(parse_config(path))
+
     def test_network_file_too_small(self, tmp_path):
         netfile = tmp_path / "toy.json"
         netfile.write_text(json.dumps({
@@ -360,7 +370,7 @@ class TestCliScenario:
         report = json.loads((out / "report.json").read_text())
         svg_path = report["scenarios"][0]["svg"]
         assert os.path.exists(svg_path)
-        body = open(svg_path).read()
+        body = Path(svg_path).read_text()
         assert "stroke-dasharray" in body  # defect curve is dashed
 
     def test_failed_scenario_reported_not_fatal(self, tmp_path, capsys):
@@ -378,6 +388,16 @@ class TestCliScenario:
         assert report["scenarios"][0]["ok"] is False
         assert report["scenarios"][1]["ok"] is True
         assert "FAILED" in capsys.readouterr().out
+
+    def test_write_error_ends_the_run(self, spectrum_setup, capsys):
+        # a file that cannot be written is an I/O failure of the run, not a
+        # failed scenario: exit 1 naming the path, no report
+        cfg, out = spectrum_setup
+        blocked = out / "inhibit-J-2-3.csv"
+        blocked.mkdir(parents=True)
+        assert run_cli("scenario", "--config", cfg) == 1
+        assert f"error: [Errno 21] Is a directory: '{blocked}'" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 class TestCliDiff:

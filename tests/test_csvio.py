@@ -82,7 +82,7 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     def test_unix_newlines(self, csv_path):
-        raw = open(csv_path, "rb").read()
+        raw = Path(csv_path).read_bytes()
         assert b"\r" not in raw
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,10 +179,6 @@ class TestWaveguideCoupling:
         with pytest.raises(ValueError, match="velocity"):
             WaveguideCoupling(ports=((1, 1.0),), v_g=0.0)
 
-    def test_finite_separation_rejected(self):
-        with pytest.raises(ValueError, match="separation"):
-            WaveguideCoupling(ports=((1, 1.0),), d=1.0)
-
 
 class TestProbeGrid:
     def test_spacing_and_energies(self):
@@ -245,6 +243,17 @@ class TestValidateNetwork:
             loss=bd.total(), loss_breakdown=bd,
         )
         assert any("negative dephasing loss at site 1" in m for m in validate_network(bad))
+
+    def test_opposite_infinite_channels_reported_without_warning(self):
+        # inf + -inf at one site sums to NaN: a mismatch, not a RuntimeWarning
+        n = 2
+        bd = LossBreakdown(dephasing=[np.inf, 0.0], ohmic=[-np.inf, 0.0], sink=np.zeros(n))
+        bad = SiteNetwork(n_sites=n, epsilon=np.zeros(n), coupling=np.zeros((n, n)),
+                          loss=np.zeros(n), loss_breakdown=bd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            msgs = validate_network(bad)
+        assert msgs == ["negative ohmic loss at site 1", "loss_breakdown mismatch at site 1"]
 
     def test_messages_keep_the_loop_order(self):
         # site 2's diagonal comes before its pair (2,4); channels come in

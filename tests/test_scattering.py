@@ -138,13 +138,17 @@ class TestTrivialLimits:
 
 
 class TestPoleHandling:
-    def test_exact_pole_raises_without_nudge(self):
-        net, wg = single_emitter(epsilon=0.0, g=1.0)
-        grid = ProbeGrid(-1.0, 1.0, 3)
+    def test_pole_that_survives_the_nudge_raises(self):
+        # at 1e6 cm^-1 the nudge of 1e-9 * 1e-3 rounds away, so the retried
+        # point is the same pole
+        grid = ProbeGrid(1e6 - 1e-3, 1e6 + 1e-3, 3)
+        net, wg = single_emitter(epsilon=grid.energies()[1], g=1.0)
         with pytest.raises(PoleError) as err:
-            sweep_spectrum(net, wg, grid, nudge_poles=False)
-        assert err.value.energy == 0.0
+            sweep_spectrum(net, wg, grid)
+        assert err.value.energy == 1e6 and type(err.value.energy) is float
         assert err.value.grid_index == 1
+        assert str(err.value) == ("singular scattering problem at E = 1000000.0 cm^-1 "
+                                  "(grid index 1)")
 
     def test_nudge_recovers_the_sweep(self):
         net, wg = single_emitter(epsilon=0.0, g=1.0)

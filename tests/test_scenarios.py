@@ -1,5 +1,4 @@
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from randnets import single_emitter
 
 from excitonprobe.model import (
     LossBreakdown, ProbeGrid, SiteNetwork, WaveguideCoupling, fmo_preset,
+    network_fingerprint,
 )
 from excitonprobe.scattering import sweep_spectrum
 from excitonprobe.scenarios import (
@@ -318,15 +318,27 @@ class TestScenarioSuite:
         assert second["ok"] is True
         assert second["diff"]["l_inf"] > 0.0
 
-    def test_csv_emission(self, preset, preset_grid, tmp_path):
+    def test_on_spectrum_sees_baseline_then_each_success(self, preset, preset_grid):
         net, wg = preset
-        out = tmp_path / "suite"
-        report = run_scenario_suite(
-            net, wg, preset_grid, [InhibitCoupling(2, 3)], out_dir=str(out)
-        )
-        assert os.path.exists(report["baseline"]["csv"])
-        assert os.path.exists(report["scenarios"][0]["csv"])
-        assert report["scenarios"][0]["csv"].endswith("inhibit-J-2-3.csv")
+        scens = [InhibitCoupling(2, 3), RemoveSite(1), RemoveSite(5)]
+        calls = []
+
+        def record(entry, spec, base_spec):
+            calls.append((entry, sorted(entry), spec, base_spec))
+
+        report = run_scenario_suite(net, wg, preset_grid, scens, on_spectrum=record)
+        assert report["scenarios"][1]["ok"] is False  # site 1 is probed
+        assert [c[0]["label"] for c in calls] == ["baseline", "inhibit-J-2-3", "remove-site-5"]
+        base_spec = calls[0][2]
+        expected = [(report["baseline"], net, ["dip_count", "extrema", "label"])]
+        for i in (0, 2):
+            expected.append((report["scenarios"][i], apply_defect(net, wg, scens[i])[0],
+                             ["diff", "dip_count", "extrema", "label", "ok"]))
+        for (entry, keys, spec, base), (want, d_net, want_keys) in zip(calls, expected):
+            assert entry is want and keys == want_keys
+            assert base is base_spec
+            assert spec.metadata["network_hash"] == network_fingerprint(d_net)
+            assert entry["dip_count"] == dip_count(spec)
 
     def test_entries_keep_input_order(self, preset, preset_grid):
         net, wg = preset
