@@ -16,7 +16,9 @@ from . import csvio, svgplot
 from .config import ConfigError, parse_config, build_setup
 from .fano import fit_fano
 from .scattering import NetworkValidationError, PoleError, sweep_spectrum
-from .scenarios import ScenarioError, run_scenario_suite, spectral_difference
+from .scenarios import (
+    DEFAULT_PROMINENCE, ScenarioError, run_scenario_suite, spectral_difference,
+)
 
 
 def cmd_spectrum(args) -> int:
@@ -124,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff", help="compare two spectrum CSVs")
     p.add_argument("--base", required=True)
     p.add_argument("--mod", required=True)
-    p.add_argument("--prominence", type=float, default=0.01)
+    p.add_argument("--prominence", type=float, default=DEFAULT_PROMINENCE)
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("fano", help="fit Fano lineshapes to spectrum windows")

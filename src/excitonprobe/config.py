@@ -1,15 +1,17 @@
 """Run configuration: strict JSON parsing and network construction.
 
 Unknown keys are fatal everywhere; a typo in a physics parameter must not
-silently fall back to a default. Syntax errors are reported with the line
-and column from the JSON parser.
+silently fall back to a default. The grid block and each scenario entry
+are the dataclass they describe (ProbeGrid, SCENARIO_TYPES): its fields are
+the keys and its own checks the value rules. Syntax errors are reported with
+the line and column from the JSON parser.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .model import (
     OHMIC_FRACTION_DEFAULT,
@@ -19,24 +21,13 @@ from .model import (
     network_from_site_data,
 )
 from .scattering import SOLVERS, default_grid
-from .scenarios import DEFAULT_PROMINENCE, InhibitCoupling, RemoveSite, SetPortAmplitudes
+from .scenarios import DEFAULT_PROMINENCE, SCENARIO_TYPES
 
 
 class ConfigError(ValueError):
     """Configuration file is syntactically or semantically invalid."""
 
 
-_TOP_KEYS = {
-    "network", "network_file", "g1", "g6", "v_g", "gamma_dp", "gamma_s",
-    "ohmic_fraction", "grid", "solver", "scenarios", "output_dir",
-    "emit_svg", "prominence", "fit_windows",
-}
-_GRID_KEYS = {"e_min", "e_max", "n_points"}
-_SCENARIO_KEYS = {
-    "inhibit_coupling": {"type", "site_a", "site_b", "label"},
-    "remove_site": {"type", "site", "label"},
-    "set_port_amplitudes": {"type", "ports", "label"},
-}
 # Per-site loss arrays a network file may carry, and the config rate each replaces.
 _FILE_LOSS_RATES = {"loss_dephasing_cm1": "gamma_dp", "loss_sink_cm1": "gamma_s"}
 
@@ -60,10 +51,10 @@ class RunConfig:
     fit_windows: tuple = ()
 
 
-def _require_number(data, key, context="config"):
+def _require_number(data, key):
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context} key {key!r} must be a number, got {value!r}")
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
     return float(value)
 
 
@@ -80,42 +71,39 @@ def _read_json_object(path, what) -> dict:
     return data
 
 
+def _build(cls, obj, ctx):
+    """cls(**obj) for a config block whose keys are the fields of dataclass cls;
+    every rejection is a ConfigError that starts with ctx."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{ctx} must be an object, got {type(obj).__name__}")
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"{ctx}: unknown key {sorted(unknown)[0]!r}")
+    for f in fields(cls):
+        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{ctx}: missing key {f.name!r}")
+    try:
+        return cls(**obj)
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from None
+
+
 def _parse_scenario(entry, index):
     ctx = f"scenario {index}"
     if not isinstance(entry, dict):
         raise ConfigError(f"{ctx} must be an object, got {type(entry).__name__}")
     kind = entry.get("type")
-    if kind not in _SCENARIO_KEYS:
-        raise ConfigError(
-            f"{ctx}: unknown type {kind!r}, expected one of {sorted(_SCENARIO_KEYS)}"
-        )
-    unknown = set(entry) - _SCENARIO_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown key {sorted(unknown)[0]!r} for type {kind!r}")
-    label = entry.get("label", "")
-    if kind == "inhibit_coupling":
-        for key in ("site_a", "site_b"):
-            if key not in entry:
-                raise ConfigError(f"{ctx}: missing key {key!r}")
-        return InhibitCoupling(int(entry["site_a"]), int(entry["site_b"]), label=label)
-    if kind == "remove_site":
-        if "site" not in entry:
-            raise ConfigError(f"{ctx}: missing key 'site'")
-        return RemoveSite(int(entry["site"]), label=label)
-    ports = entry.get("ports")
-    if not isinstance(ports, list) or not ports:
-        raise ConfigError(f"{ctx}: 'ports' must be a non-empty list of [site, g] pairs")
-    try:
-        pairs = tuple((int(s), float(g)) for s, g in ports)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{ctx}: 'ports' must be a list of [site, g] pairs") from None
-    return SetPortAmplitudes(pairs, label=label)
+    if not isinstance(kind, str) or kind not in SCENARIO_TYPES:
+        raise ConfigError(f"{ctx}: unknown type {kind!r}, "
+                          f"expected one of {sorted(SCENARIO_TYPES)}")
+    fields_only = {key: value for key, value in entry.items() if key != "type"}
+    return _build(SCENARIO_TYPES[kind], fields_only, f"{ctx} ({kind})")
 
 
 def parse_config(path) -> RunConfig:
     """Read and fully validate a JSON config file."""
     data = _read_json_object(path, "config")
-    unknown = set(data) - _TOP_KEYS
+    unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
 
@@ -138,17 +126,14 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("key 'network_file' requires network = 'file'")
 
     for key in ("g1", "g6", "v_g", "gamma_dp", "gamma_s", "ohmic_fraction", "prominence"):
-        if key in data:
-            kwargs[key] = _require_number(data, key)
-    if kwargs.get("g1", 10.0) < 0 or kwargs.get("g6", 10.0) < 0:
-        raise ConfigError("port amplitudes g1, g6 must be >= 0")
-    for key in ("gamma_dp", "gamma_s", "ohmic_fraction"):
-        if kwargs.get(key, 0.0) < 0:
-            raise ConfigError(f"config key {key!r} must be >= 0, got {kwargs[key]!r}")
-    if kwargs.get("v_g", 1.0) <= 0:
-        raise ConfigError("group velocity v_g must be > 0")
-    if kwargs.get("prominence", DEFAULT_PROMINENCE) <= 0:
-        raise ConfigError("prominence must be > 0")
+        if key not in data:
+            continue
+        value = kwargs[key] = _require_number(data, key)
+        if key in ("v_g", "prominence") and value <= 0:
+            raise ConfigError(f"config key {key!r} must be > 0, got {value!r}")
+        if value < 0:
+            raise ConfigError("port amplitudes g1, g6 must be >= 0" if key in ("g1", "g6")
+                              else f"config key {key!r} must be >= 0, got {value!r}")
     if network == "file":
         site_data = _read_json_object(kwargs["network_file"], "network file")
         for loss_key, rate in _FILE_LOSS_RATES.items():
@@ -157,26 +142,7 @@ def parse_config(path) -> RunConfig:
                     f"config key {rate!r} conflicts with {loss_key!r} in the network file")
 
     if "grid" in data:
-        grid = data["grid"]
-        if not isinstance(grid, dict):
-            raise ConfigError("config key 'grid' must be an object")
-        unknown = set(grid) - _GRID_KEYS
-        if unknown:
-            raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in grid")
-        for key in ("e_min", "e_max"):
-            if key not in grid:
-                raise ConfigError(f"grid is missing key {key!r}")
-        n_points = grid.get("n_points", 2001)
-        if isinstance(n_points, bool) or not isinstance(n_points, int):
-            raise ConfigError("grid key 'n_points' must be an integer")
-        try:
-            kwargs["grid"] = ProbeGrid(
-                e_min=_require_number(grid, "e_min", "grid"),
-                e_max=_require_number(grid, "e_max", "grid"),
-                n_points=n_points,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid grid: {exc}") from None
+        kwargs["grid"] = _build(ProbeGrid, data["grid"], "grid")
 
     if "solver" in data:
         solver = data["solver"]
@@ -191,6 +157,14 @@ def parse_config(path) -> RunConfig:
         if not isinstance(entries, list):
             raise ConfigError("config key 'scenarios' must be a list")
         kwargs["scenarios"] = tuple(_parse_scenario(entry, i) for i, entry in enumerate(entries))
+        # each label names the scenario's output files
+        first = {}
+        for i, scenario in enumerate(kwargs["scenarios"]):
+            if scenario.label == "baseline":
+                raise ConfigError(f"scenario {i}: label 'baseline' is reserved for the baseline")
+            j = first.setdefault(scenario.label, i)
+            if j != i:
+                raise ConfigError(f"scenarios {j} and {i} share the label {scenario.label!r}")
 
     if "output_dir" in data:
         out = data["output_dir"]

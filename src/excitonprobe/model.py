@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -39,6 +41,22 @@ class SiteDataError(ValueError):
 def induced_width(g, v_g=1.0):
     """Waveguide-induced decay width of a port site: Gamma = 2 g^2 / v_g."""
     return 2.0 * g * g / v_g
+
+
+def site_number(value, name: str = "site") -> int:
+    """`value` as a site number: an integer (numpy integers included), not a bool.
+
+    Only the type is checked; whether the site exists depends on the network.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer site number, got {value!r}")
+    return int(value)
+
+
+def _real_number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _frozen_array(values, dtype=float):
@@ -110,8 +128,9 @@ class SiteNetwork:
 class WaveguideCoupling:
     """Which sites couple to the waveguide and with what amplitude.
 
-    Each port is a (site, g) pair with a 1-based site number and a coupling
-    amplitude g >= 0 in units such that the induced width is 2 g^2 / v_g.
+    Each port is a (site, g) pair with an integer 1-based site number and a
+    real coupling amplitude g >= 0, in units such that the induced width is
+    2 g^2 / v_g.
     All ports sit at the same waveguide position (zero separation), so a
     photon sees a single combined scatterer. ohmic_fraction is the share of
     each port's induced width lost to Ohmic heating of the wire; a change of
@@ -123,9 +142,13 @@ class WaveguideCoupling:
     ohmic_fraction: float = OHMIC_FRACTION_DEFAULT
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "ports", tuple((int(s), float(g)) for s, g in self.ports)
-        )
+        try:
+            pairs = [(site, g) for site, g in self.ports]
+        except (TypeError, ValueError):
+            raise ValueError(f"ports must be (site, g) pairs, got {self.ports!r}") from None
+        object.__setattr__(self, "ports", tuple(
+            (site_number(site, "ports: site"), _real_number(g, f"ports: g at site {site}"))
+            for site, g in pairs))
         sites = [s for s, _ in self.ports]
         if len(set(sites)) != len(sites):
             raise ValueError(f"duplicate port sites: {sites}")
@@ -158,6 +181,10 @@ class ProbeGrid:
     n_points: int = 2001
 
     def __post_init__(self):
+        for name in ("e_min", "e_max"):
+            object.__setattr__(self, name, _real_number(getattr(self, name), name))
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.n_points}")
         if not self.e_min < self.e_max:
@@ -248,12 +275,18 @@ def _site_values(data: dict, key: str, n: int) -> np.ndarray:
     if (not isinstance(values, list) or len(values) != n
             or any(type(v) not in (int, float) for v in values)):
         raise SiteDataError(f"key {key!r} must list one number per site ({n} sites)")
-    return np.array(values, dtype=float)
+    values = np.array(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise SiteDataError(f"key {key!r} must hold finite numbers; "
+                            f"site {i + 1} has {values[i]:g}")
+    return values
 
 
 def _loss_values(data: dict, key: str, n: int) -> np.ndarray:
     values = _site_values(data, key, n)
-    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+    bad = np.flatnonzero(values < 0)
     if bad.size:
         i = bad[0]
         raise SiteDataError(f"key {key!r} must hold finite rates >= 0; "
@@ -269,9 +302,10 @@ def _coupling_matrix(entries, n: int) -> np.ndarray:
     for k, entry in enumerate(entries):
         if not (isinstance(entry, list) and len(entry) == 3
                 and all(type(s) is int and 1 <= s <= n for s in entry[:2])
-                and entry[0] != entry[1] and type(entry[2]) in (int, float)):
+                and entry[0] != entry[1] and type(entry[2]) in (int, float)
+                and math.isfinite(entry[2])):
             raise SiteDataError(f"coupling entry {k} {entry!r} must be [site, site, J] "
-                                f"with distinct integer sites in 1..{n}")
+                                f"with distinct integer sites in 1..{n} and a finite J")
         s, m, value = entry
         pair = (min(s, m), max(s, m))
         if pair in seen:

@@ -15,7 +15,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.signal import find_peaks
 
-from .model import LossBreakdown, SiteNetwork, WaveguideCoupling, rebuild_port_losses
+from .model import (
+    LossBreakdown, SiteNetwork, WaveguideCoupling, rebuild_port_losses, site_number,
+)
 from .scattering import Spectrum, sweep_spectrum
 
 DEFAULT_PROMINENCE = 0.01
@@ -28,6 +30,13 @@ class ScenarioError(ValueError):
     """Scenario is not applicable to the target network."""
 
 
+def _set_label(scenario, default: str):
+    if not isinstance(scenario.label, str):
+        raise ValueError(f"label must be a string, got {scenario.label!r}")
+    if not scenario.label:
+        object.__setattr__(scenario, "label", default)
+
+
 @dataclass(frozen=True)
 class InhibitCoupling:
     """Zero the coupling between two sites, both directions."""
@@ -37,9 +46,10 @@ class InhibitCoupling:
     label: str = ""
 
     def __post_init__(self):
-        if not self.label:
-            a, b = sorted((self.site_a, self.site_b))
-            object.__setattr__(self, "label", f"inhibit-J-{a}-{b}")
+        for name in ("site_a", "site_b"):
+            object.__setattr__(self, name, site_number(getattr(self, name), name))
+        a, b = sorted((self.site_a, self.site_b))
+        _set_label(self, f"inhibit-J-{a}-{b}")
 
 
 @dataclass(frozen=True)
@@ -50,22 +60,33 @@ class RemoveSite:
     label: str = ""
 
     def __post_init__(self):
-        if not self.label:
-            object.__setattr__(self, "label", f"remove-site-{self.site}")
+        object.__setattr__(self, "site", site_number(self.site))
+        _set_label(self, f"remove-site-{self.site}")
 
 
 @dataclass(frozen=True)
 class SetPortAmplitudes:
-    """Probe the unchanged network with different port amplitudes on the same wire."""
+    """Probe the unchanged network with different port amplitudes on the same wire.
+
+    ports: non-empty (site, g) pairs, checked by WaveguideCoupling."""
 
     ports: tuple
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "ports", tuple((int(s), float(g)) for s, g in self.ports))
-        if not self.label:
-            tag = "-".join(f"{s}g{g:g}" for s, g in self.ports)
-            object.__setattr__(self, "label", f"set-ports-{tag}")
+        object.__setattr__(self, "ports", WaveguideCoupling(self.ports).ports)
+        if not self.ports:
+            raise ValueError("ports must list at least one (site, g) pair")
+        tag = "-".join(f"{s}g{g:g}" for s, g in self.ports)
+        _set_label(self, f"set-ports-{tag}")
+
+
+# Config name of each scenario type; its fields are the entry's keys.
+SCENARIO_TYPES = {
+    "inhibit_coupling": InhibitCoupling,
+    "remove_site": RemoveSite,
+    "set_port_amplitudes": SetPortAmplitudes,
+}
 
 
 def _check_site(net: SiteNetwork, site: int):

@@ -12,7 +12,7 @@ from excitonprobe.config import ConfigError, build_setup, parse_config
 from excitonprobe.csvio import FANO_CSV_HEADER, read_spectrum_csv
 from excitonprobe.model import fmo_preset, network_fingerprint
 from excitonprobe.scenarios import (
-    InhibitCoupling, RemoveSite, SetPortAmplitudes, run_scenario_suite,
+    SCENARIO_TYPES, InhibitCoupling, RemoveSite, SetPortAmplitudes, run_scenario_suite,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -150,6 +150,7 @@ class TestParseConfig:
         cfg = parse_config(str(path))
         assert len(cfg.scenarios) == 3
         assert cfg.fit_windows == ((520.0, 620.0),)
+        assert {type(s) for s in cfg.scenarios} == set(SCENARIO_TYPES.values())
 
     def test_port_probe_defaults_to_run_ohmic_fraction(self, tmp_path):
         # Re-applying the baseline ports at the run's own fraction must be a null probe.
@@ -164,6 +165,42 @@ class TestParseConfig:
         entry = report["scenarios"][0]
         assert entry["ok"] is True
         assert entry["diff"] == {"l2": 0.0, "l_inf": 0.0, "area": 0.0, "extrema_delta": 0}
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"type": "remove_site", "site": 2.9}, r"\(remove_site\): site must be an integer"),
+        ({"type": "remove_site", "site": True}, r"\(remove_site\): site must be an integer"),
+        ({"type": "remove_site", "site": "3"}, r"\(remove_site\): site must be an integer"),
+        ({"type": "set_port_amplitudes", "ports": [[1, "10"]]},
+         r"\(set_port_amplitudes\): ports: g at site 1 must be a real number, got '10'"),
+        ({"type": "set_port_amplitudes", "ports": [[1, True]]},
+         r"\(set_port_amplitudes\): ports: g at site 1 must be a real number, got True"),
+        ({"type": "remove_site", "site": 3, "label": 5},
+         r"\(remove_site\): label must be a string"),
+        ({"type": "set_port_amplitudes", "ports": 5},
+         r"\(set_port_amplitudes\): ports must be \(site, g\) pairs, got 5"),
+        ({"type": "set_port_amplitudes", "ports": []}, r"\(set_port_amplitudes\): ports must list"),
+        ({"type": "set_port_amplitudes", "ports": [[1]]},
+         r"\(set_port_amplitudes\): ports must be \(site, g\) pairs, got \[\[1\]\]"),
+        (5, "must be an object, got int"),
+    ], ids=["site-float", "site-bool", "site-string", "amplitude-string", "amplitude-bool",
+            "label-int", "ports-int", "ports-empty", "ports-short-pair", "entry-not-object"])
+    def test_malformed_scenario_names_index_and_field(self, tmp_path, entry, message):
+        path = write_config(tmp_path, scenarios=[{"type": "remove_site", "site": 4}, entry])
+        with pytest.raises(ConfigError, match="^scenario 1 " + message):
+            parse_config(path)
+
+    @pytest.mark.parametrize("scenarios, message", [
+        ([{"type": "inhibit_coupling", "site_a": 1, "site_b": 2},
+          {"type": "remove_site", "site": 4},
+          {"type": "inhibit_coupling", "site_a": 2, "site_b": 1}],
+         "scenarios 0 and 2 share the label 'inhibit-J-1-2'"),
+        ([{"type": "remove_site", "site": 4, "label": "baseline"}],
+         "scenario 0: label 'baseline' is reserved"),
+    ], ids=["duplicate", "baseline"])
+    def test_scenario_labels_name_distinct_files(self, tmp_path, scenarios, message):
+        path = write_config(tmp_path, scenarios=scenarios)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
 
     def test_port_probe_ohmic_fraction_key_rejected(self, tmp_path):
         # the Ohmic fraction belongs to the wire, set once per run
@@ -243,8 +280,13 @@ class TestBuildSetup:
         (lambda d: d.update(labels="abcdefg"), "'labels' must list one string per site"),
         (lambda d: d.update(labels=["only"]), "'labels' must list one string per site"),
         (lambda d: d.update(reference_energy_cm1="x"), "'reference_energy_cm1' must be a number"),
+        (lambda d: d["epsilon_cm1"].__setitem__(2, float("nan")),
+         "key 'epsilon_cm1' must hold finite numbers; site 3 has nan"),
+        (lambda d: d["coupling_upper_triangle_cm1"][0].__setitem__(2, float("inf")),
+         r"coupling entry 0 \[1, 2, inf\] must be .* and a finite J"),
     ], ids=["non-integer-site", "mirrored-pair", "unknown-key", "coupling-not-a-list",
-            "labels-string", "labels-too-few", "reference-energy-string"])
+            "labels-string", "labels-too-few", "reference-energy-string", "epsilon-nan",
+            "coupling-infinite"])
     def test_malformed_network_file_rejected(self, tmp_path, change, message):
         data = bundled_site_data()
         change(data)

@@ -39,6 +39,18 @@ class TestScenarioLabels:
     def test_custom_label_wins(self):
         assert InhibitCoupling(1, 2, label="blocked").label == "blocked"
 
+    def test_constructors_check_field_types(self):
+        for make in (lambda: InhibitCoupling(1.5, 2), lambda: RemoveSite(True),
+                     lambda: ProbeGrid(0.0, 1.0, 2.5), lambda: WaveguideCoupling(((1.0, 10.0),)),
+                     lambda: SetPortAmplitudes(((1, "10"),))):
+            with pytest.raises(ValueError):
+                make()
+        removal = RemoveSite(np.int64(5))
+        assert removal.site == 5 and type(removal.site) is int
+        assert removal.label == "remove-site-5"
+        assert InhibitCoupling(np.int64(2), np.int32(1)).label == "inhibit-J-1-2"
+        assert WaveguideCoupling(((np.int64(6), 1),)).ports == ((6, 1.0),)
+
 
 class TestApplyInhibit:
     def test_zeroes_both_directions(self, preset):
