@@ -13,12 +13,10 @@ import os
 import sys
 
 from . import csvio, svgplot
-from .config import ConfigError, parse_config, build_setup
+from .config import parse_config, build_setup
 from .fano import fit_fano
-from .scattering import NetworkValidationError, PoleError, sweep_spectrum
-from .scenarios import (
-    DEFAULT_PROMINENCE, ScenarioError, run_scenario_suite, spectral_difference,
-)
+from .scattering import PoleError, sweep_spectrum
+from .scenarios import DEFAULT_PROMINENCE, run_scenario_suite, spectral_difference
 
 
 def cmd_spectrum(args) -> int:
@@ -145,8 +143,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScenarioError, NetworkValidationError, PoleError,
-            ValueError, OSError) as exc:
+    except (ValueError, PoleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,22 +1,24 @@
 """Run configuration: strict JSON parsing and network construction.
 
 Unknown keys are fatal everywhere; a typo in a physics parameter must not
-silently fall back to a default. The grid block and each scenario entry
-are the dataclass they describe (ProbeGrid, SCENARIO_TYPES): its fields are
-the keys and its own checks the value rules. Syntax errors are reported with
-the line and column from the JSON parser.
+silently fall back to a default. The top level, the grid block and each
+scenario entry are the dataclass they describe (RunConfig, ProbeGrid,
+SCENARIO_TYPES): its fields are the keys and its own checks the value rules.
+Syntax errors are reported with the line and column from the JSON parser.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .model import (
     OHMIC_FRACTION_DEFAULT,
     ProbeGrid,
     SiteDataError,
+    _real_number,
     fmo_preset,
     network_from_site_data,
 )
@@ -31,11 +33,27 @@ class ConfigError(ValueError):
 # Per-site loss arrays a network file may carry, and the config rate each replaces.
 _FILE_LOSS_RATES = {"loss_dephasing_cm1": "gamma_dp", "loss_sink_cm1": "gamma_s"}
 
+# The float fields of RunConfig that must be > 0; the others must be >= 0.
+_POSITIVE = ("v_g", "prominence")
+
+
+def _fit_window(win, index):
+    if not isinstance(win, (list, tuple)) or len(win) != 2:
+        raise ValueError(f"fit window {index} must be a [lo, hi] pair of numbers, got {win!r}")
+    lo, hi = (_real_number(v, f"fit window {index}: {end}") for end, v in zip(("lo", "hi"), win))
+    if not lo < hi:
+        raise ValueError(f"fit window {index} is empty: [{lo}, {hi}]")
+    return lo, hi
+
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings. The fields are the config file's top-level keys,
+    and each is checked here, so a RunConfig built in Python obeys the same
+    rules as one read from a file."""
+
     network: str = "preset"
-    network_file: str = ""
+    network_file: str | None = None
     g1: float = 10.0
     g6: float = 10.0
     v_g: float = 1.0
@@ -50,12 +68,53 @@ class RunConfig:
     prominence: float = DEFAULT_PROMINENCE
     fit_windows: tuple = ()
 
+    def __post_init__(self):
+        for name in (f.name for f in fields(self) if f.type in ("float", float)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"config key {name!r} must be a number, got {value!r}")
+            value = _real_number(value, f"config key {name!r}")
+            if name in _POSITIVE and value <= 0:
+                raise ValueError(f"config key {name!r} must be > 0, got {value!r}")
+            if value < 0:
+                raise ValueError("port amplitudes g1, g6 must be >= 0" if name in ("g1", "g6")
+                                 else f"config key {name!r} must be >= 0, got {value!r}")
+            object.__setattr__(self, name, value)
+        if self.network not in ("preset", "file"):
+            raise ValueError(
+                f"config key 'network' must be 'preset' or 'file', got {self.network!r}")
+        if self.network_file is None and self.network == "file":
+            raise ValueError("network 'file' requires key 'network_file'")
+        if self.network_file is not None and self.network != "file":
+            raise ValueError("key 'network_file' requires network = 'file'")
+        if self.network_file is not None and (
+                not isinstance(self.network_file, str) or not self.network_file):
+            raise ValueError(f"config key 'network_file' must be a non-empty string, "
+                             f"got {self.network_file!r}")
+        if not isinstance(self.solver, str) or self.solver not in SOLVERS:
+            raise ValueError(
+                f"config key 'solver' must be one of {sorted(SOLVERS)}, got {self.solver!r}")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ValueError("config key 'output_dir' must be a non-empty string")
+        if not isinstance(self.emit_svg, bool):
+            raise ValueError("config key 'emit_svg' must be true or false")
 
-def _require_number(data, key):
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
+        if not isinstance(self.scenarios, (list, tuple)):
+            raise ValueError("config key 'scenarios' must be a list")
+        object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        # each label names the scenario's output files
+        first = {}
+        for i, scenario in enumerate(self.scenarios):
+            if scenario.label == "baseline":
+                raise ValueError(f"scenario {i}: label 'baseline' is reserved for the baseline")
+            j = first.setdefault(scenario.label, i)
+            if j != i:
+                raise ValueError(f"scenarios {j} and {i} share the label {scenario.label!r}")
+
+        if not isinstance(self.fit_windows, (list, tuple)):
+            raise ValueError("config key 'fit_windows' must be a list of [lo, hi] pairs")
+        object.__setattr__(self, "fit_windows", tuple(
+            _fit_window(win, i) for i, win in enumerate(self.fit_windows)))
 
 
 def _read_json_object(path, what) -> dict:
@@ -103,96 +162,25 @@ def _parse_scenario(entry, index):
 def parse_config(path) -> RunConfig:
     """Read and fully validate a JSON config file."""
     data = _read_json_object(path, "config")
-    unknown = set(data) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
+    blocks = {}
+    if "grid" in data:
+        blocks["grid"] = _build(ProbeGrid, data["grid"], "grid")
+    if isinstance(data.get("scenarios"), list):
+        blocks["scenarios"] = tuple(
+            _parse_scenario(entry, i) for i, entry in enumerate(data["scenarios"]))
+    cfg = _build(RunConfig, {**data, **blocks}, path)
 
-    kwargs = {}
-
-    network = data.get("network", "preset")
-    if network not in ("preset", "file"):
-        raise ConfigError(f"config key 'network' must be 'preset' or 'file', got {network!r}")
-    kwargs["network"] = network
-    if network == "file":
-        net_file = data.get("network_file")
-        if not isinstance(net_file, str) or not net_file:
-            raise ConfigError("network 'file' requires key 'network_file'")
-        base = os.path.dirname(os.path.abspath(path))
-        net_path = net_file if os.path.isabs(net_file) else os.path.join(base, net_file)
+    if cfg.network == "file":
+        net_path = os.path.join(os.path.dirname(os.path.abspath(path)), cfg.network_file)
         if not os.path.exists(net_path):
-            raise ConfigError(f"network_file {net_file!r} does not exist")
-        kwargs["network_file"] = net_path
-    elif "network_file" in data:
-        raise ConfigError("key 'network_file' requires network = 'file'")
-
-    for key in ("g1", "g6", "v_g", "gamma_dp", "gamma_s", "ohmic_fraction", "prominence"):
-        if key not in data:
-            continue
-        value = kwargs[key] = _require_number(data, key)
-        if key in ("v_g", "prominence") and value <= 0:
-            raise ConfigError(f"config key {key!r} must be > 0, got {value!r}")
-        if value < 0:
-            raise ConfigError("port amplitudes g1, g6 must be >= 0" if key in ("g1", "g6")
-                              else f"config key {key!r} must be >= 0, got {value!r}")
-    if network == "file":
-        site_data = _read_json_object(kwargs["network_file"], "network file")
+            raise ConfigError(f"network_file {cfg.network_file!r} does not exist")
+        cfg = replace(cfg, network_file=net_path)
+        site_data = _read_json_object(net_path, "network file")
         for loss_key, rate in _FILE_LOSS_RATES.items():
             if loss_key in site_data and rate in data:
                 raise ConfigError(
                     f"config key {rate!r} conflicts with {loss_key!r} in the network file")
-
-    if "grid" in data:
-        kwargs["grid"] = _build(ProbeGrid, data["grid"], "grid")
-
-    if "solver" in data:
-        solver = data["solver"]
-        if solver not in SOLVERS:
-            raise ConfigError(
-                f"config key 'solver' must be one of {sorted(SOLVERS)}, got {solver!r}"
-            )
-        kwargs["solver"] = solver
-
-    if "scenarios" in data:
-        entries = data["scenarios"]
-        if not isinstance(entries, list):
-            raise ConfigError("config key 'scenarios' must be a list")
-        kwargs["scenarios"] = tuple(_parse_scenario(entry, i) for i, entry in enumerate(entries))
-        # each label names the scenario's output files
-        first = {}
-        for i, scenario in enumerate(kwargs["scenarios"]):
-            if scenario.label == "baseline":
-                raise ConfigError(f"scenario {i}: label 'baseline' is reserved for the baseline")
-            j = first.setdefault(scenario.label, i)
-            if j != i:
-                raise ConfigError(f"scenarios {j} and {i} share the label {scenario.label!r}")
-
-    if "output_dir" in data:
-        out = data["output_dir"]
-        if not isinstance(out, str) or not out:
-            raise ConfigError("config key 'output_dir' must be a non-empty string")
-        kwargs["output_dir"] = out
-
-    if "emit_svg" in data:
-        if not isinstance(data["emit_svg"], bool):
-            raise ConfigError("config key 'emit_svg' must be true or false")
-        kwargs["emit_svg"] = data["emit_svg"]
-
-    if "fit_windows" in data:
-        windows = data["fit_windows"]
-        if not isinstance(windows, list):
-            raise ConfigError("config key 'fit_windows' must be a list of [lo, hi] pairs")
-        parsed = []
-        for i, win in enumerate(windows):
-            if (not isinstance(win, list) or len(win) != 2
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in win)):
-                raise ConfigError(f"fit window {i} must be a [lo, hi] pair of numbers")
-            lo, hi = float(win[0]), float(win[1])
-            if not lo < hi:
-                raise ConfigError(f"fit window {i} is empty: [{lo}, {hi}]")
-            parsed.append((lo, hi))
-        kwargs["fit_windows"] = tuple(parsed)
-
-    return RunConfig(**kwargs)
+    return cfg
 
 
 def build_setup(cfg: RunConfig):

@@ -12,11 +12,14 @@ import os
 
 import numpy as np
 
-from .model import ProbeGrid
+from .model import LOSS_CHANNELS, ProbeGrid
 from .scattering import Spectrum
 
-CSV_HEADER = "E_cm1,T,R,A_total,A_sink,A_dephasing,A_ohmic"
-_CSV_ROW = ",".join(["%.12e"] * 7) + "\n"
+# Loss channels in the order of their A_<channel> columns, after E, T, R and A_total.
+_CSV_CHANNELS = ("sink", "dephasing", "ohmic")
+_CSV_COLUMNS = ("E_cm1", "T", "R", "A_total", *(f"A_{name}" for name in _CSV_CHANNELS))
+CSV_HEADER = ",".join(_CSV_COLUMNS)
+_CSV_ROW = ",".join(["%.12e"] * len(_CSV_COLUMNS)) + "\n"
 _CSV_BLOCK_ROWS = 4096
 
 FANO_CSV_HEADER = "label,q,e_res,gamma_w,t_bg,residual,converged"
@@ -59,7 +62,7 @@ def write_spectrum_csv(path, spec: Spectrum):
     # One row-major array of the seven columns, formatted by one % call per
     # block of rows, so a long grid never holds all its row text and floats at once.
     data = np.column_stack((spec.energies, spec.T, spec.R, spec.A_total,
-                            *(spec.A_channels[name] for name in ("sink", "dephasing", "ohmic"))))
+                            *(spec.A_channels[name] for name in _CSV_CHANNELS)))
     with _open_text(path) as fh:
         fh.write("\n".join(lines) + "\n")
         for start in range(0, len(data), _CSV_BLOCK_ROWS):
@@ -100,8 +103,9 @@ def read_spectrum_csv(path) -> Spectrum:
                 header_seen = True
                 continue
             parts = line.split(",")
-            if len(parts) != 7:
-                raise ValueError(f"{path}:{lineno}: expected 7 columns, got {len(parts)}")
+            if len(parts) != len(_CSV_COLUMNS):
+                raise ValueError(f"{path}:{lineno}: expected {len(_CSV_COLUMNS)} columns, "
+                                 f"got {len(parts)}")
             try:
                 rows.append([float(p) for p in parts])
             except ValueError as exc:
@@ -114,19 +118,19 @@ def read_spectrum_csv(path) -> Spectrum:
     data = np.array(rows)
     energies = data[:, 0]
     spacing = np.diff(energies)
-    if spacing.min() <= 0 or (spacing.max() - spacing.min()) > 1e-6 * abs(spacing.mean()):
+    if (not np.isfinite(energies).all() or spacing.min() <= 0
+            or (spacing.max() - spacing.min()) > 1e-6 * abs(spacing.mean())):
         raise ValueError(f"{path}: energy column is not a uniform increasing grid")
     grid = ProbeGrid(e_min=float(energies[0]), e_max=float(energies[-1]),
                      n_points=len(rows))
 
-    cols = {name: np.ascontiguousarray(data[:, i])
-            for i, name in enumerate(["E", "T", "R", "A_total", "sink",
-                                      "dephasing", "ohmic"])}
-    channels = {name: cols[name] for name in ("dephasing", "ohmic", "sink")}
-    for arr in (cols["T"], cols["R"], cols["A_total"], *channels.values()):
+    _, T, R, A_total, *absorbed = (np.ascontiguousarray(col) for col in data.T)
+    by_channel = dict(zip(_CSV_CHANNELS, absorbed))
+    channels = {name: by_channel[name] for name in LOSS_CHANNELS}
+    for arr in (T, R, A_total, *channels.values()):
         arr.flags.writeable = False
-    return Spectrum(grid=grid, T=cols["T"], R=cols["R"], A_total=cols["A_total"],
-                    A_channels=channels, metadata=metadata)
+    return Spectrum(grid=grid, T=T, R=R, A_total=A_total, A_channels=channels,
+                    metadata=metadata)
 
 
 def format_fano_table(rows) -> str:

@@ -56,6 +56,8 @@ def site_number(value, name: str = "site") -> int:
 def _real_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
@@ -129,12 +131,12 @@ class WaveguideCoupling:
     """Which sites couple to the waveguide and with what amplitude.
 
     Each port is a (site, g) pair with an integer 1-based site number and a
-    real coupling amplitude g >= 0, in units such that the induced width is
-    2 g^2 / v_g.
+    finite real coupling amplitude g >= 0, in units such that the induced
+    width is 2 g^2 / v_g; v_g is finite and > 0.
     All ports sit at the same waveguide position (zero separation), so a
-    photon sees a single combined scatterer. ohmic_fraction is the share of
-    each port's induced width lost to Ohmic heating of the wire; a change of
-    ports keeps it.
+    photon sees a single combined scatterer. ohmic_fraction (finite, >= 0) is
+    the share of each port's induced width lost to Ohmic heating of the wire;
+    a change of ports keeps it.
     """
 
     ports: tuple[tuple[int, float], ...]
@@ -157,8 +159,13 @@ class WaveguideCoupling:
                 raise ValueError(f"port site {s} is not a valid 1-based site number")
             if g < 0:
                 raise ValueError(f"negative port amplitude g={g} at site {s}")
+        object.__setattr__(self, "v_g", _real_number(self.v_g, "group velocity v_g"))
         if self.v_g <= 0:
             raise ValueError(f"group velocity must be positive, got {self.v_g}")
+        object.__setattr__(self, "ohmic_fraction",
+                           _real_number(self.ohmic_fraction, "ohmic_fraction"))
+        if self.ohmic_fraction < 0:
+            raise ValueError(f"ohmic_fraction must be >= 0, got {self.ohmic_fraction}")
 
     def amplitude_vector(self, n_sites: int) -> np.ndarray:
         """Coupling amplitudes as a length-N vector (zero off-port)."""

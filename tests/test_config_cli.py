@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from excitonprobe.cli import main
-from excitonprobe.config import ConfigError, build_setup, parse_config
+from excitonprobe.config import ConfigError, RunConfig, build_setup, parse_config
 from excitonprobe.csvio import FANO_CSV_HEADER, read_spectrum_csv
 from excitonprobe.model import fmo_preset, network_fingerprint
 from excitonprobe.scenarios import (
@@ -75,10 +75,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"config key '{key}' must be >= 0"):
             parse_config(path)
 
-    def test_unknown_solver_rejected(self, tmp_path):
-        path = write_config(tmp_path, solver="magic")
+    @pytest.mark.parametrize("solver", ["magic", []], ids=["magic", "list"])
+    def test_unknown_solver_rejected(self, tmp_path, solver):
+        path = write_config(tmp_path, solver=solver)
         with pytest.raises(ConfigError, match="solver"):
             parse_config(path)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"prominence": float("nan")}, "config key 'prominence' must be finite, got nan"),
+        ({"g1": float("inf")}, "config key 'g1' must be finite, got inf"),
+        ({"v_g": float("nan")}, "config key 'v_g' must be finite, got nan"),
+        ({"grid": {"e_min": 0, "e_max": float("inf")}}, "grid: e_max must be finite, got inf"),
+        ({"fit_windows": [[0, float("inf")]]}, "fit window 0: hi must be finite, got inf"),
+    ], ids=["prominence-nan", "g1-inf", "v_g-nan", "grid-e_max-inf", "fit-window-inf"])
+    def test_non_finite_number_rejected_and_named(self, tmp_path, overrides, message):
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+
+    def test_run_config_checks_its_fields(self):
+        with pytest.raises(ValueError, match="solver"):
+            RunConfig(solver="magic")
+        with pytest.raises(ValueError, match="fit window 0 is empty"):
+            RunConfig(fit_windows=((700, 700),))
 
     def test_nonpositive_prominence_rejected(self, tmp_path):
         path = write_config(tmp_path, prominence=0.0)
@@ -182,8 +201,11 @@ class TestParseConfig:
         ({"type": "set_port_amplitudes", "ports": [[1]]},
          r"\(set_port_amplitudes\): ports must be \(site, g\) pairs, got \[\[1\]\]"),
         (5, "must be an object, got int"),
+        ({"type": "set_port_amplitudes", "ports": [[1, float("inf")]]},
+         r"\(set_port_amplitudes\): ports: g at site 1 must be finite, got inf"),
     ], ids=["site-float", "site-bool", "site-string", "amplitude-string", "amplitude-bool",
-            "label-int", "ports-int", "ports-empty", "ports-short-pair", "entry-not-object"])
+            "label-int", "ports-int", "ports-empty", "ports-short-pair", "entry-not-object",
+            "amplitude-infinite"])
     def test_malformed_scenario_names_index_and_field(self, tmp_path, entry, message):
         path = write_config(tmp_path, scenarios=[{"type": "remove_site", "site": 4}, entry])
         with pytest.raises(ConfigError, match="^scenario 1 " + message):
@@ -373,6 +395,26 @@ class TestCliSpectrum:
         cfg = write_config(tmp_path, gama_dp=1.0)
         assert run_cli("spectrum", "--config", cfg) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, overrides, name", [
+        ("spectrum", {"solver": []}, "'solver'"),
+        ("spectrum", {"g1": float("inf")}, "'g1'"),
+        ("scenario", {"prominence": float("nan")}, "'prominence'"),
+        ("spectrum", {"grid": {"e_min": 0, "e_max": float("inf")}}, "grid: e_max"),
+        ("scenario", {"scenarios": [{"type": "set_port_amplitudes", "ports": [[1, float("inf")]]}]},
+         "scenario 0 (set_port_amplitudes): ports: g at site 1"),
+        ("spectrum", {"fit_windows": [[0, float("inf")]]}, "fit window 0: hi"),
+    ], ids=["solver-list", "g1-inf", "prominence-nan", "grid-e_max-inf", "port-g-inf",
+            "fit-window-inf"])
+    def test_invalid_value_is_one_error_line_naming_it(self, tmp_path, capsys,
+                                                        command, overrides, name):
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"), **overrides)
+        assert run_cli(command, "--config", cfg) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert name in captured.err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliScenario:

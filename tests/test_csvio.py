@@ -157,6 +157,16 @@ class TestReaderValidation:
         with pytest.raises(ValueError, match="uniform increasing grid"):
             read_spectrum_csv(str(p))
 
+    @pytest.mark.parametrize("last", ["inf", "nan"])
+    def test_non_finite_energy_rejected(self, tmp_path, last):
+        p = tmp_path / "bad.csv"
+        rows = [CSV_HEADER]
+        for e in ("0.0", "1.0", "2.0", last):
+            rows.append(",".join([e] + ["0"] * 6))
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: energy column is not a uniform"):
+            read_spectrum_csv(str(p))
+
     def test_decreasing_grid_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         rows = [CSV_HEADER]

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -178,6 +179,17 @@ class TestWaveguideCoupling:
     def test_nonpositive_group_velocity_rejected(self):
         with pytest.raises(ValueError, match="velocity"):
             WaveguideCoupling(ports=((1, 1.0),), v_g=0.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"v_g": float("nan")}, "group velocity v_g must be finite, got nan"),
+        ({"v_g": float("inf")}, "group velocity v_g must be finite, got inf"),
+        ({"ohmic_fraction": float("nan")}, "ohmic_fraction must be finite, got nan"),
+        ({"ohmic_fraction": -0.5}, "ohmic_fraction must be >= 0, got -0.5"),
+        ({"ports": ((1, float("inf")),)}, "ports: g at site 1 must be finite, got inf"),
+    ], ids=["v_g-nan", "v_g-inf", "ohmic-nan", "ohmic-negative", "g-inf"])
+    def test_non_finite_or_negative_rate_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WaveguideCoupling(**{"ports": ((1, 1.0),), **kwargs})
 
 
 class TestProbeGrid:
