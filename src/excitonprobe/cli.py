@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -80,6 +81,8 @@ def _parse_window(raw: str):
     if len(parts) != 2:
         raise ValueError(f"window must be LO,HI; got {raw!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"window ends must be finite; got {raw!r}")
     if not lo < hi:
         raise ValueError(f"empty window {raw!r}")
     return lo, hi

@@ -9,20 +9,30 @@ the diagonal, so the effective network Hamiltonian is
 
 Two independent routes solve the same scattering problem:
 
-* ``solve_closed_form`` resolves the photon amplitudes analytically and is
-  left with one N x N linear system. With w the port-amplitude vector and
+* ``closed_form`` resolves the photon amplitudes analytically and is left
+  with one N x N linear system. With w the port-amplitude vector and
   y = (E - H_eff)^{-1} w obtained by a dense solve,
 
       t = 1 / (1 + (i/v_g) w.y),   r = t - 1,   xi = t*y.
 
-* ``solve_direct`` assembles the (N+2)-unknown system in (t, r, xi_1..xi_N)
+* ``direct`` assembles the (N+2)-unknown system in (t, r, xi_1..xi_N)
   straight from the delta-function matching conditions, taking the photon
   field at the coupling point as the mean of its left/right limits, and
-  hands it to a dense solver.
+  hands it to a dense solver. It never forms H_eff, so it stays an
+  independent oracle for the closed form.
 
 Both satisfy the exact flux balance 1 - |t|^2 - |r|^2 = sum_n gamma_n
 |xi_n|^2 / v_g and the zero-separation identity r = t - 1; the pair acts as
 a mutual cross-check throughout the test suite.
+
+Each route is one kernel over a stack of energies. The kernel validates the
+network and the ports once, then takes the energies in chunks: it stacks a
+chunk's matrices, solves them with one ``np.linalg.solve`` call and forms t,
+r, xi and the flux ledger (T, R, absorption per site and per loss channel)
+as arrays. A chunk's stacked matrices take at most about 1 MiB, so memory
+stays bounded on long grids and large networks. ``sweep_spectrum`` runs the
+kernel over a probe grid; ``solve_closed_form`` and ``solve_direct`` run it
+on a grid of one energy and wrap the result in a ``ScatteringSolution``.
 """
 
 from __future__ import annotations
@@ -131,46 +141,52 @@ def _check_ports(net: SiteNetwork, wg: WaveguideCoupling):
         )
 
 
-def _solution(net, wg, energy, t, r, xi, solver):
-    if not (np.isfinite(t) and np.isfinite(r) and np.all(np.isfinite(xi))):
-        raise PoleError(energy)
-    occupancy = np.abs(xi) ** 2 / wg.v_g
-    per_site = net.loss * occupancy
-    per_channel = {
-        name: float(getattr(net.loss_breakdown, name) @ occupancy)
-        for name in LOSS_CHANNELS
-    }
-    xi = np.asarray(xi, dtype=complex)
-    xi.flags.writeable = False
-    per_site.flags.writeable = False
-    ledger = FluxLedger(
-        transmitted=float(abs(t) ** 2),
-        reflected=float(abs(r) ** 2),
-        absorbed_per_site=per_site,
-        absorbed_per_channel=per_channel,
-    )
-    return ScatteringSolution(energy=float(energy), t=complex(t), r=complex(r),
-                              xi=xi, flux=ledger, solver=solver)
+# Bytes the stacked matrices of one chunk may take. The solve's copy and the
+# temporaries put the peak at about three times this.
+_CHUNK_BYTES = 2 ** 20
 
 
-def solve_closed_form(net: SiteNetwork, wg: WaveguideCoupling, energy: float) -> ScatteringSolution:
-    """Green's-function route: one dense N x N solve, then the closed form."""
+def _solve_rows(stack, rhs):
+    """Solve every system of the stack for rhs; all rows NaN if one is singular.
+
+    np.linalg.solve rejects the whole stack when one matrix is singular, so
+    every energy of that stack comes back as a pole. rhs goes in as a column,
+    the form numpy 1.x also broadcasts over a stack.
+    """
+    try:
+        return np.linalg.solve(stack, rhs[:, None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.full(stack.shape[:-1], np.nan, dtype=complex)
+
+
+def _dot_rows(a, rows):
+    """a . row for each row, each summed in the order of a one-row a @ row."""
+    return (a @ rows[..., None])[..., 0]
+
+
+def _closed_form_kernel(net: SiteNetwork, wg: WaveguideCoupling):
+    """Validate once; returns (amplitudes, n) for the N x N closed-form systems.
+
+    amplitudes(energies) solves one stacked system per energy and returns the
+    rows t, r and xi; n is the size of each system, which sets the chunk.
+    """
     H = effective_hamiltonian(net)
     _check_ports(net, wg)
     w = wg.amplitude_vector(net.n_sites)
-    A = energy * np.eye(net.n_sites, dtype=complex) - H
-    try:
-        y = np.linalg.solve(A, w.astype(complex))
-    except np.linalg.LinAlgError:
-        raise PoleError(energy) from None
-    t = 1.0 / (1.0 + 1j * (w @ y) / wg.v_g)
-    r = t - 1.0
-    xi = t * y
-    return _solution(net, wg, energy, t, r, xi, "closed_form")
+    rhs = w.astype(complex)
+    eye = np.eye(net.n_sites, dtype=complex)
+
+    def amplitudes(energies):
+        y = _solve_rows(energies[:, None, None] * eye - H, rhs)
+        # y @ w would sum in another order and can differ in the last bit
+        t = 1.0 / (1.0 + 1j * _dot_rows(w, y) / wg.v_g)
+        return t, t - 1.0, t[:, None] * y
+
+    return amplitudes, net.n_sites
 
 
-def solve_direct(net: SiteNetwork, wg: WaveguideCoupling, energy: float) -> ScatteringSolution:
-    """Independent oracle route: solve the full matching-condition system.
+def _direct_kernel(net: SiteNetwork, wg: WaveguideCoupling):
+    """Validate once; returns (amplitudes, n) for the (N+2)-unknown matching systems.
 
     Unknowns are (t, r, xi_1..xi_N). The two photon rows are the jump
     conditions across the coupling point; each site row balances the site
@@ -200,17 +216,76 @@ def solve_direct(net: SiteNetwork, wg: WaveguideCoupling, energy: float) -> Scat
     # Site rows: (E - eps_n + i gamma_n/2) xi_n - sum_m J_nm xi_m
     #            = g_n (1 + t + r)/2
     M[2:, 2:] = -net.coupling.astype(complex)
-    idx = np.arange(n)
-    M[2 + idx, 2 + idx] = energy - net.epsilon + 0.5j * net.loss
     M[2:, 0] = -0.5 * w
     M[2:, 1] = -0.5 * w
     b[2:] = 0.5 * w
+    site = 2 + np.arange(n)
 
-    try:
-        u = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError:
-        raise PoleError(energy) from None
-    return _solution(net, wg, energy, u[0], u[1], u[2:], "direct")
+    def amplitudes(energies):
+        stack = np.repeat(M[None], energies.size, axis=0)
+        stack[:, site, site] = energies[:, None] - net.epsilon + 0.5j * net.loss
+        u = _solve_rows(stack, b)
+        return u[:, 0], u[:, 1], u[:, 2:]
+
+    return amplitudes, n + 2
+
+
+_KERNELS = {"closed_form": _closed_form_kernel, "direct": _direct_kernel}
+
+
+def _solve_stack(amplitudes, energies):
+    """(t, r, xi, pole): amplitude rows at each energy and a mask of its poles.
+
+    A pole is an energy whose amplitudes are not finite, which includes every
+    energy of a stack that holds a singular system.
+    """
+    with np.errstate(all="ignore"):
+        t, r, xi = amplitudes(energies)
+    pole = ~(np.isfinite(t) & np.isfinite(r) & np.isfinite(xi).all(axis=1))
+    return t, r, xi, pole
+
+
+def _flux(net: SiteNetwork, v_g: float, t, r, xi):
+    """Flux ledger rows (T, R, absorption per site, absorption per channel)."""
+    occupancy = np.abs(xi) ** 2 / v_g
+    # hypot rounds |t| as abs() of one complex does; np.abs of a complex
+    # array can differ from it in the last bit
+    T = np.hypot(t.real, t.imag) ** 2
+    R = np.hypot(r.real, r.imag) ** 2
+    per_site = net.loss * occupancy
+    per_channel = {name: _dot_rows(getattr(net.loss_breakdown, name), occupancy)
+                   for name in LOSS_CHANNELS}
+    return T, R, per_site, per_channel
+
+
+def _solve_point(net: SiteNetwork, wg: WaveguideCoupling, energy, solver: str):
+    """The kernel on a grid of one energy, as a ScatteringSolution."""
+    amplitudes, _ = _KERNELS[solver](net, wg)
+    t, r, xi, pole = _solve_stack(amplitudes, np.array([energy], dtype=float))
+    if pole[0]:
+        raise PoleError(energy)
+    T, R, per_site, per_channel = _flux(net, wg.v_g, t, r, xi)
+    xi, per_site = xi[0], per_site[0]
+    xi.flags.writeable = False
+    per_site.flags.writeable = False
+    ledger = FluxLedger(
+        transmitted=float(T[0]),
+        reflected=float(R[0]),
+        absorbed_per_site=per_site,
+        absorbed_per_channel={name: float(a[0]) for name, a in per_channel.items()},
+    )
+    return ScatteringSolution(energy=float(energy), t=complex(t[0]), r=complex(r[0]),
+                              xi=xi, flux=ledger, solver=solver)
+
+
+def solve_closed_form(net: SiteNetwork, wg: WaveguideCoupling, energy: float) -> ScatteringSolution:
+    """Green's-function route: one dense N x N solve, then the closed form."""
+    return _solve_point(net, wg, energy, "closed_form")
+
+
+def solve_direct(net: SiteNetwork, wg: WaveguideCoupling, energy: float) -> ScatteringSolution:
+    """Independent oracle route: solve the full (N+2)-unknown matching-condition system."""
+    return _solve_point(net, wg, energy, "direct")
 
 
 SOLVERS = {"closed_form": solve_closed_form, "direct": solve_direct}
@@ -241,14 +316,16 @@ def sweep_spectrum(net: SiteNetwork, wg: WaveguideCoupling, grid: ProbeGrid,
                    solver: str = "closed_form") -> Spectrum:
     """Evaluate the chosen solver at every grid point.
 
-    A grid point that lands exactly on a pole is retried once, nudged up by
+    The network is validated once; the grid is solved in stacked chunks. A
+    grid point that lands exactly on a pole is retried once, nudged up by
     1e-9 of the grid spacing; if the nudged point still fails, the PoleError
-    propagates, carrying the grid index. Output is deterministic and
-    independent of evaluation order.
+    propagates, carrying the grid index. A point's value does not depend on
+    the chunk it is solved in, so output is deterministic.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}, expected one of {sorted(SOLVERS)}")
-    solve = SOLVERS[solver]
+    amplitudes, n = _KERNELS[solver](net, wg)
+    chunk = max(1, _CHUNK_BYTES // (16 * n * n))
 
     energies = grid.energies()
     T = np.empty(grid.n_points)
@@ -256,19 +333,23 @@ def sweep_spectrum(net: SiteNetwork, wg: WaveguideCoupling, grid: ProbeGrid,
     A_total = np.empty(grid.n_points)
     A_channels = {name: np.empty(grid.n_points) for name in LOSS_CHANNELS}
 
-    for i, energy in enumerate(energies):
-        try:
-            sol = solve(net, wg, energy)
-        except PoleError:
-            try:
-                sol = solve(net, wg, energy + POLE_NUDGE * grid.spacing)
-            except PoleError:
-                raise PoleError(energy, grid_index=i) from None
-        T[i] = sol.flux.transmitted
-        R[i] = sol.flux.reflected
-        A_total[i] = sol.flux.absorbed_total
+    for start in range(0, grid.n_points, chunk):
+        rows = slice(start, start + chunk)
+        t, r, xi, pole = _solve_stack(amplitudes, energies[rows])
+        for i in np.flatnonzero(pole):
+            energy = energies[start + i]
+            # alone first: a singular matrix marks every row of its stack
+            for retry in (energy, energy + POLE_NUDGE * grid.spacing):
+                ti, ri, xii, still = _solve_stack(amplitudes, np.array([retry]))
+                if not still[0]:
+                    break
+            else:
+                raise PoleError(energy, grid_index=start + i)
+            t[i], r[i], xi[i] = ti[0], ri[0], xii[0]
+        T[rows], R[rows], per_site, per_channel = _flux(net, wg.v_g, t, r, xi)
+        A_total[rows] = np.sum(per_site, axis=1)
         for name in LOSS_CHANNELS:
-            A_channels[name][i] = sol.flux.absorbed_per_channel[name]
+            A_channels[name][rows] = per_channel[name]
 
     for arr in (T, R, A_total, *A_channels.values()):
         arr.flags.writeable = False

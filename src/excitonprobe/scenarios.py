@@ -9,6 +9,7 @@ in the emitted CSVs but not scored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -155,8 +156,8 @@ class Extremum(NamedTuple):
 
 def find_extrema(spec: Spectrum, prominence: float = DEFAULT_PROMINENCE):
     """Interior dips and peaks of T with at least the given prominence."""
-    if prominence <= 0:
-        raise ValueError("prominence must be positive")
+    if not (math.isfinite(prominence) and prominence > 0):
+        raise ValueError(f"prominence must be finite and > 0, got {prominence!r}")
     energies = spec.energies
     out = []
     dip_idx, _ = find_peaks(-spec.T, prominence=prominence)
@@ -187,21 +188,24 @@ class SpectralDiff:
                 "extrema_delta": self.extrema_delta}
 
 
-def spectral_difference(base: Spectrum, mod: Spectrum,
-                        prominence: float = DEFAULT_PROMINENCE) -> SpectralDiff:
-    """Compare transmission columns; extrema_delta counts dips mod - base."""
+def _distances(base: Spectrum, mod: Spectrum):
+    """(l2, l_inf, area) between the transmission columns of two spectra on one grid."""
     if base.grid != mod.grid:
         raise ValueError(
             f"grid mismatch: base {base.grid} vs mod {mod.grid}"
         )
     dT = mod.T - base.T
     h = base.grid.spacing
-    return SpectralDiff(
-        l2=float(np.sqrt(np.sum(dT ** 2) * h)),
-        l_inf=float(np.max(np.abs(dT))),
-        area=float(_trapezoid(np.abs(dT), base.energies)),
-        extrema_delta=dip_count(mod, prominence) - dip_count(base, prominence),
-    )
+    return (float(np.sqrt(np.sum(dT ** 2) * h)),
+            float(np.max(np.abs(dT))),
+            float(_trapezoid(np.abs(dT), base.energies)))
+
+
+def spectral_difference(base: Spectrum, mod: Spectrum,
+                        prominence: float = DEFAULT_PROMINENCE) -> SpectralDiff:
+    """Compare transmission columns; extrema_delta counts dips mod - base."""
+    return SpectralDiff(*_distances(base, mod),
+                        extrema_delta=dip_count(mod, prominence) - dip_count(base, prominence))
 
 
 def _spectrum_entry(label: str, spec: Spectrum, prominence: float) -> dict:
@@ -241,7 +245,10 @@ def run_scenario_suite(net: SiteNetwork, wg: WaveguideCoupling, grid,
                             "error": f"{type(exc).__name__}: {exc}"})
             continue
         entry = _spectrum_entry(scenario.label, d_spec, prominence)
-        entry.update(ok=True, diff=spectral_difference(base_spec, d_spec, prominence).as_dict())
+        # the entries already hold each spectrum's dip count
+        diff = SpectralDiff(*_distances(base_spec, d_spec),
+                            extrema_delta=entry["dip_count"] - base_entry["dip_count"])
+        entry.update(ok=True, diff=diff.as_dict())
         entries.append(entry)
         if on_spectrum is not None:
             on_spectrum(entry, d_spec, base_spec)

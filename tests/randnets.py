@@ -8,6 +8,13 @@ from excitonprobe.model import LossBreakdown, SiteNetwork, WaveguideCoupling
 def random_instance(rng, n_max=7, lossless=False):
     """One random scattering problem: (net, wg, energy)."""
     n = int(rng.integers(1, n_max + 1))
+    net, wg = random_network(rng, n, lossless)
+    energy = float(rng.uniform(-80.0, 80.0))
+    return net, wg, energy
+
+
+def random_network(rng, n, lossless=False):
+    """A random n-site network probed at one or two of its sites: (net, wg)."""
     eps = rng.uniform(-50.0, 50.0, n)
     J = rng.uniform(-20.0, 20.0, (n, n))
     J = np.triu(J, 1)
@@ -27,8 +34,7 @@ def random_instance(rng, n_max=7, lossless=False):
     sites = rng.choice(np.arange(1, n + 1), size=n_ports, replace=False)
     ports = tuple((int(s), float(rng.uniform(0.1, 5.0))) for s in sites)
     wg = WaveguideCoupling(ports=ports, v_g=float(rng.uniform(0.5, 2.0)))
-    energy = float(rng.uniform(-80.0, 80.0))
-    return net, wg, energy
+    return net, wg
 
 
 def single_emitter(epsilon=0.0, g=10.0, gamma=0.0, v_g=1.0):

@@ -506,6 +506,17 @@ class TestCliDiff:
         payload = json.loads(capsys.readouterr().out)
         assert payload["l_inf"] > 0.0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_prominence_must_be_finite_and_positive(self, spectrum_setup, capsys, value):
+        cfg, out = spectrum_setup
+        run_cli("spectrum", "--config", cfg)
+        path = str(out / "baseline.csv")
+        capsys.readouterr()
+        assert run_cli("diff", "--base", path, "--mod", path, "--prominence", value) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: prominence must be finite and > 0, got {float(value)!r}\n"
+        assert captured.out == ""
+
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert run_cli("diff", "--base", "nope.csv", "--mod", "nope.csv") == 1
         assert "error:" in capsys.readouterr().err
@@ -568,6 +579,17 @@ class TestCliFano:
         capsys.readouterr()
         assert run_cli("fano", "--spectrum", str(out / "baseline.csv")) == 1
         assert "no fit windows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["0,inf", "-inf,600", "nan,600"])
+    def test_non_finite_window_is_an_error(self, spectrum_setup, capsys, window):
+        cfg, out = spectrum_setup
+        run_cli("spectrum", "--config", cfg)
+        capsys.readouterr()
+        rc = run_cli("fano", "--spectrum", str(out / "baseline.csv"), f"--window={window}")
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: window ends must be finite; got {window!r}\n"
+        assert captured.out == ""
 
     def test_malformed_window_is_an_error(self, spectrum_setup, capsys):
         cfg, out = spectrum_setup

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from randnets import random_instance, single_emitter, single_emitter_transmission
+from randnets import random_instance, random_network, single_emitter, single_emitter_transmission
+
+from excitonprobe import scattering
 
 from excitonprobe.model import (
     LossBreakdown,
@@ -10,6 +12,7 @@ from excitonprobe.model import (
     WaveguideCoupling,
 )
 from excitonprobe.scattering import (
+    _CHUNK_BYTES,
     DEFAULT_GRID_MARGIN,
     DEFAULT_GRID_POINTS,
     NetworkValidationError,
@@ -267,3 +270,124 @@ class TestLosslessDips:
                 continue
             sol = solve_closed_form(lossless, wg, float(ev) + 1e-9)
             assert sol.flux.transmitted < 1e-4
+
+
+def point_ledgers(solve, net, wg, energies):
+    """T, R, A_total and each channel from one single-energy solve per point."""
+    sols = [solve(net, wg, e).flux for e in energies]
+    columns = {"T": [f.transmitted for f in sols], "R": [f.reflected for f in sols],
+               "A_total": [f.absorbed_total for f in sols]}
+    for name in sols[0].absorbed_per_channel:
+        columns[name] = [f.absorbed_per_channel[name] for f in sols]
+    return {k: np.array(v) for k, v in columns.items()}
+
+
+def sweep_ledgers(spec):
+    return {"T": spec.T, "R": spec.R, "A_total": spec.A_total, **spec.A_channels}
+
+
+def chunk_rows(n):
+    """Points in one stacked chunk of the kernel for n x n systems."""
+    return max(1, _CHUNK_BYTES // (16 * n * n))
+
+
+def decoupled_network(epsilon):
+    """Lossless sites with no couplings, probed at site 1 only."""
+    n = len(epsilon)
+    bd = LossBreakdown.zeros(n)
+    net = SiteNetwork(n_sites=n, epsilon=np.array(epsilon), coupling=np.zeros((n, n)),
+                      loss=bd.total(), loss_breakdown=bd)
+    return net, WaveguideCoupling(ports=((1, 1.0),))
+
+
+class TestKernel:
+    """The chunked sweep against the single-energy API, point by point."""
+
+    def test_sweep_equals_grid_of_one_solves(self, preset, preset_grid, baseline_spectrum, rng):
+        cases = [(preset, preset_grid, baseline_spectrum)]
+        for _ in range(10):
+            net, wg, _ = random_instance(rng)
+            grid = ProbeGrid(-80.0, 80.0, 101)
+            cases.append(((net, wg), grid, sweep_spectrum(net, wg, grid)))
+        for (net, wg), grid, spec in cases:
+            want = point_ledgers(solve_closed_form, net, wg, grid.energies())
+            got = sweep_ledgers(spec)
+            assert sorted(got) == sorted(want)
+            for key in want:
+                assert np.array_equal(got[key], want[key]), key
+
+    def test_sweep_across_chunks_matches_direct_oracle(self, rng):
+        net, wg = random_network(rng, 60)
+        grid = ProbeGrid(-80.0, 80.0, 50)
+        assert grid.n_points > 2 * chunk_rows(net.n_sites + 2)
+        want = point_ledgers(solve_direct, net, wg, grid.energies())
+        closed = sweep_ledgers(sweep_spectrum(net, wg, grid))
+        direct = sweep_ledgers(sweep_spectrum(net, wg, grid, solver="direct"))
+        for key in want:
+            assert np.max(np.abs(closed[key] - want[key])) < 1e-10, key
+            assert np.array_equal(direct[key], want[key]), key
+
+    def test_nudge_recovers_a_pole_in_a_later_chunk(self):
+        grid = ProbeGrid(-1.0, 1.0, 101)
+        n = 60
+        assert 77 > 2 * chunk_rows(n)
+        net, wg = decoupled_network([grid.energies()[77]] + [1e4 + k for k in range(n - 1)])
+        spec = sweep_spectrum(net, wg, grid)
+        assert np.all(np.isfinite(spec.T)) and np.all(np.isfinite(spec.A_total))
+        assert spec.T[77] < 1e-10
+        off_pole = np.arange(grid.n_points) != 77
+        want = point_ledgers(solve_closed_form, net, wg, grid.energies()[off_pole])
+        assert np.array_equal(spec.T[off_pole], want["T"])
+
+    def test_surviving_pole_reports_its_global_grid_index(self):
+        # at 1e6 cm^-1 the nudge of 1e-9 * 1e-3 rounds away
+        grid = ProbeGrid(1e6 - 0.05, 1e6 + 0.05, 101)
+        n = 60
+        net, wg = decoupled_network([grid.energies()[77]] + [1e4 + k for k in range(n - 1)])
+        with pytest.raises(PoleError) as err:
+            sweep_spectrum(net, wg, grid)
+        assert err.value.grid_index == 77
+        assert err.value.energy == grid.energies()[77]
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_network_validated_once_per_sweep(self, preset, preset_grid, monkeypatch, solver):
+        calls = []
+        real = scattering.validate_network
+
+        def counting(net):
+            calls.append(net)
+            return real(net)
+
+        monkeypatch.setattr(scattering, "validate_network", counting)
+        net, wg = preset
+        sweep_spectrum(net, wg, preset_grid, solver=solver)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_kernel_uses_only_numpy_1_forms(self, preset, monkeypatch, solver):
+        # numpy 1.x has no vecdot and rejects a 1-D right-hand side for a stack
+        real_solve = np.linalg.solve
+
+        def numpy1_solve(a, b):
+            if np.ndim(a) > 2 and np.ndim(b) == 1:
+                raise ValueError("solve: 1-D b with stacked a")
+            return real_solve(a, b)
+
+        net, wg = preset
+        grid = default_grid(net, n_points=101)
+        want = sweep_spectrum(net, wg, grid, solver=solver)
+        monkeypatch.delattr(np, "vecdot", raising=False)
+        monkeypatch.setattr(np.linalg, "solve", numpy1_solve)
+        got = sweep_spectrum(net, wg, grid, solver=solver)
+        for key in ("T", "R", "A_total"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), key
+
+    def test_direct_route_never_forms_h_eff(self, preset, monkeypatch):
+        def forbidden(net):
+            raise AssertionError("the direct oracle built H_eff")
+
+        monkeypatch.setattr(scattering, "effective_hamiltonian", forbidden)
+        net, wg = preset
+        spec = sweep_spectrum(net, wg, default_grid(net, n_points=11), solver="direct")
+        assert spec.metadata["solver"] == "direct"
+        assert solve_direct(net, wg, 0.0).solver == "direct"

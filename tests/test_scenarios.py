@@ -6,11 +6,12 @@ import pytest
 import conftest
 from randnets import single_emitter
 
+from excitonprobe import scenarios
 from excitonprobe.model import (
     LossBreakdown, ProbeGrid, SiteNetwork, WaveguideCoupling, fmo_preset,
     network_fingerprint,
 )
-from excitonprobe.scattering import sweep_spectrum
+from excitonprobe.scattering import default_grid, sweep_spectrum
 from excitonprobe.scenarios import (
     InhibitCoupling,
     RemoveSite,
@@ -351,6 +352,26 @@ class TestScenarioSuite:
             assert base is base_spec
             assert spec.metadata["network_hash"] == network_fingerprint(d_net)
             assert entry["dip_count"] == dip_count(spec)
+
+    def test_extrema_counted_once_per_spectrum(self, preset, monkeypatch):
+        # the diff's extrema_delta comes from the entries' dip counts
+        net, wg = preset
+        grid = default_grid(net, n_points=401)
+        scens = [InhibitCoupling(1, 2), RemoveSite(1), RemoveSite(5)]
+        counted, specs = [], []
+        real = scenarios.find_extrema
+
+        def counting(spec, prominence=scenarios.DEFAULT_PROMINENCE):
+            counted.append(spec)
+            return real(spec, prominence)
+
+        monkeypatch.setattr(scenarios, "find_extrema", counting)
+        report = run_scenario_suite(net, wg, grid, scens,
+                                    on_spectrum=lambda e, spec, base: specs.append(spec))
+        assert len(counted) == len(specs) == 3  # baseline and the two that ran
+        monkeypatch.undo()
+        for entry, spec in zip((e for e in report["scenarios"] if e["ok"]), specs[1:]):
+            assert entry["diff"] == spectral_difference(specs[0], spec).as_dict()
 
     def test_entries_keep_input_order(self, preset, preset_grid):
         net, wg = preset
