@@ -44,8 +44,7 @@ def cmd_scenario(args) -> int:
         entry["csv"] = csv_path
         if cfg.emit_svg and spec is not base_spec:
             svg_path = os.path.join(cfg.output_dir, f"{entry['label']}.svg")
-            svgplot.write_overlay(svg_path, base_spec, spec,
-                                  base_label="baseline", defect_label=entry["label"],
+            svgplot.write_overlay(svg_path, base_spec, spec, defect_label=entry["label"],
                                   title=entry["label"])
             entry["svg"] = svg_path
 
@@ -101,9 +100,10 @@ def cmd_fano(args) -> int:
 
     rows = [(args.label or f"window-{i + 1}", fit_fano(spec, window))
             for i, window in enumerate(windows)]
-    print(csvio.format_fano_table(rows), end="")
+    table = csvio.format_fano_table(rows)
+    print(table, end="")
     if args.out:
-        csvio.write_fano_csv(args.out, rows)
+        csvio.write_text(args.out, table)
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

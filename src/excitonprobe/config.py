@@ -102,11 +102,15 @@ class RunConfig:
         if not isinstance(self.scenarios, (list, tuple)):
             raise ValueError("config key 'scenarios' must be a list")
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        # each label names the scenario's output files
+        # each label names the scenario's output files inside output_dir
+        separators = {"/", os.sep, os.altsep} - {None}
         first = {}
         for i, scenario in enumerate(self.scenarios):
             if scenario.label == "baseline":
                 raise ValueError(f"scenario {i}: label 'baseline' is reserved for the baseline")
+            if any(sep in scenario.label for sep in separators):
+                raise ValueError(f"scenario {i}: label {scenario.label!r} must not contain "
+                                 f"a path separator")
             j = first.setdefault(scenario.label, i)
             if j != i:
                 raise ValueError(f"scenarios {j} and {i} share the label {scenario.label!r}")

@@ -59,15 +59,22 @@ def write_spectrum_csv(path, spec: Spectrum):
         if key in spec.metadata:
             lines.append(f"# {key} = {_fmt_meta(spec.metadata[key])}")
     lines.append(CSV_HEADER)
-    # One row-major array of the seven columns, formatted by one % call per
-    # block of rows, so a long grid never holds all its row text and floats at once.
     data = np.column_stack((spec.energies, spec.T, spec.R, spec.A_total,
                             *(spec.A_channels[name] for name in _CSV_CHANNELS)))
     with _open_text(path) as fh:
         fh.write("\n".join(lines) + "\n")
-        for start in range(0, len(data), _CSV_BLOCK_ROWS):
-            block = data[start:start + _CSV_BLOCK_ROWS]
-            fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+        fh.writelines(format_rows(_CSV_ROW, data))
+
+
+def format_rows(row_format, data):
+    """Yield the text of row_format % row for each row of the 2-D array data.
+
+    Each block of _CSV_BLOCK_ROWS rows is formatted by one % call, so a long
+    array never holds all its row text and floats at once.
+    """
+    for start in range(0, len(data), _CSV_BLOCK_ROWS):
+        block = data[start:start + _CSV_BLOCK_ROWS]
+        yield (row_format * len(block)) % tuple(block.ravel().tolist())
 
 
 def read_spectrum_csv(path) -> Spectrum:
@@ -142,11 +149,6 @@ def format_fano_table(rows) -> str:
             f"{fit.t_bg:.12e},{fit.residual:.12e},{str(fit.converged).lower()}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_fano_csv(path, rows):
-    """Rows are (label, FanoFit) pairs; one CSV line each."""
-    write_text(path, format_fano_table(rows))
 
 
 def _open_text(path):

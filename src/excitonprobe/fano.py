@@ -172,7 +172,7 @@ def fit_fano_window(energies, values, init=None,
     return result(params, converged, iterations)
 
 
-def fit_fano(spec, window, init=None) -> FanoFit:
+def fit_fano(spec, window) -> FanoFit:
     """Fit one energy window (e_lo, e_hi) of a spectrum's transmission."""
     e_lo, e_hi = window
     if not e_lo < e_hi:
@@ -184,4 +184,4 @@ def fit_fano(spec, window, init=None) -> FanoFit:
             f"window ({e_lo}, {e_hi}) holds {int(mask.sum())} grid points, "
             f"need >= {MIN_WINDOW_POINTS}"
         )
-    return fit_fano_window(energies[mask], spec.T[mask], init=init)
+    return fit_fano_window(energies[mask], spec.T[mask])

@@ -112,6 +112,8 @@ class SiteNetwork:
         object.__setattr__(self, "epsilon", _frozen_array(self.epsilon))
         object.__setattr__(self, "coupling", _frozen_array(self.coupling))
         object.__setattr__(self, "loss", _frozen_array(self.loss))
+        object.__setattr__(self, "reference_energy",
+                           _real_number(self.reference_energy, "reference_energy"))
         if not self.labels:
             object.__setattr__(
                 self, "labels", tuple(f"site {n}" for n in range(1, self.n_sites + 1))
@@ -372,6 +374,8 @@ def network_from_site_data(
     reference = data.get("reference_energy_cm1", 0.0)
     if type(reference) not in (int, float):
         raise SiteDataError(f"key 'reference_energy_cm1' must be a number, got {reference!r}")
+    if not math.isfinite(reference):
+        raise SiteDataError(f"key 'reference_energy_cm1' must be finite, got {reference!r}")
     breakdown = LossBreakdown(dephasing, _port_ohmic_losses(wg, n), sink)
     net = SiteNetwork(
         n_sites=n,
@@ -380,7 +384,7 @@ def network_from_site_data(
         loss=breakdown.total(),
         loss_breakdown=breakdown,
         labels=tuple(labels),
-        reference_energy=float(reference),
+        reference_energy=reference,
     )
     return net, wg
 

@@ -291,12 +291,11 @@ def solve_direct(net: SiteNetwork, wg: WaveguideCoupling, energy: float) -> Scat
 SOLVERS = {"closed_form": solve_closed_form, "direct": solve_direct}
 
 
-def default_grid(net: SiteNetwork, n_points: int = DEFAULT_GRID_POINTS,
-                 margin: float = DEFAULT_GRID_MARGIN) -> ProbeGrid:
-    """Uniform grid spanning all site energies with margin on both sides."""
+def default_grid(net: SiteNetwork, n_points: int = DEFAULT_GRID_POINTS) -> ProbeGrid:
+    """Uniform grid spanning all site energies with DEFAULT_GRID_MARGIN on both sides."""
     return ProbeGrid(
-        e_min=float(np.min(net.epsilon) - margin),
-        e_max=float(np.max(net.epsilon) + margin),
+        e_min=float(np.min(net.epsilon) - DEFAULT_GRID_MARGIN),
+        e_max=float(np.max(net.epsilon) + DEFAULT_GRID_MARGIN),
         n_points=n_points,
     )
 

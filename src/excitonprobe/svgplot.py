@@ -11,7 +11,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .csvio import write_text
+from .csvio import format_rows, write_text
 
 WIDTH = 1024
 HEIGHT = 640
@@ -20,8 +20,10 @@ MARGIN_RIGHT = 30
 MARGIN_TOP = 50
 MARGIN_BOTTOM = 60
 
-BASE_STYLE = 'fill="none" stroke="#000000" stroke-width="1.6"'
-DEFECT_STYLE = 'fill="none" stroke="#cc2222" stroke-width="1.6" stroke-dasharray="8 5"'
+# Stroke attributes of the baseline (solid) and defect (dashed) curves,
+# shared by each curve's polyline and its legend line.
+BASE_STROKE = 'stroke="#000000" stroke-width="1.6"'
+DEFECT_STROKE = 'stroke="#cc2222" stroke-width="1.6" stroke-dasharray="8 5"'
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6):
@@ -48,20 +50,14 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}".rstrip("0").rstrip(".")
 
 
-def _polyline(xs, ys, style: str) -> str:
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-    return f'<polyline {style} points="{pts}"/>'
-
-
-def render_overlay(base_spec, defect_spec=None, base_label: str = "baseline",
-                   defect_label: str = "defect", title: str = "") -> str:
+def render_overlay(base_spec, defect_spec=None, defect_label: str = "defect",
+                   title: str = "") -> str:
     """SVG document string: baseline T(E) solid, optional defect dashed."""
-    energies = base_spec.energies
-    e_lo, e_hi = float(energies[0]), float(energies[-1])
-    t_hi = max(1.0, float(np.max(base_spec.T)))
+    curves = [("baseline", base_spec, BASE_STROKE)]
     if defect_spec is not None:
-        t_hi = max(t_hi, float(np.max(defect_spec.T)))
-    t_hi *= 1.02
+        curves.append((defect_label, defect_spec, DEFECT_STROKE))
+    e_lo, e_hi = float(base_spec.energies[0]), float(base_spec.energies[-1])
+    t_hi = max(1.0, *(float(np.max(spec.T)) for _, spec, _ in curves)) * 1.02
     t_lo = 0.0
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
@@ -113,32 +109,24 @@ def render_overlay(base_spec, defect_spec=None, base_label: str = "baseline",
         f'transform="rotate(-90 22 {MARGIN_TOP + plot_h / 2:.2f})">transmission</text>'
     )
 
-    parts.append(_polyline([sx(e) for e in energies],
-                           [sy(t) for t in base_spec.T], BASE_STYLE))
-    if defect_spec is not None:
-        d_energies = defect_spec.energies
-        parts.append(_polyline([sx(e) for e in d_energies],
-                               [sy(t) for t in defect_spec.T], DEFECT_STYLE))
-
-    # legend, top-right inside the plot box
+    # Each curve's polyline, then its legend entry top-right inside the plot box.
     lx = MARGIN_LEFT + plot_w - 250
-    ly = MARGIN_TOP + 16
-    parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 40}" y2="{ly}" '
-                 f'stroke="#000000" stroke-width="1.6"/>')
-    parts.append(f'<text x="{lx + 48}" y="{ly + 4}" font-family="sans-serif" '
-                 f'font-size="13">{escape(base_label)}</text>')
-    if defect_spec is not None:
-        ly2 = ly + 20
-        parts.append(f'<line x1="{lx}" y1="{ly2}" x2="{lx + 40}" y2="{ly2}" '
-                     f'stroke="#cc2222" stroke-width="1.6" stroke-dasharray="8 5"/>')
-        parts.append(f'<text x="{lx + 48}" y="{ly2 + 4}" font-family="sans-serif" '
-                     f'font-size="13">{escape(defect_label)}</text>')
+    legend = []
+    for i, (label, spec, stroke) in enumerate(curves):
+        xy = np.column_stack((sx(spec.energies), sy(spec.T)))
+        # " x,y" per point; the slice drops the leading space
+        points = "".join(format_rows(" %.2f,%.2f", xy))[1:]
+        parts.append(f'<polyline fill="none" {stroke} points="{points}"/>')
+        ly = MARGIN_TOP + 16 + 20 * i
+        legend.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 40}" y2="{ly}" {stroke}/>')
+        legend.append(f'<text x="{lx + 48}" y="{ly + 4}" font-family="sans-serif" '
+                      f'font-size="13">{escape(label)}</text>')
 
+    parts.extend(legend)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def write_overlay(path, base_spec, defect_spec=None, base_label="baseline",
-                  defect_label="defect", title=""):
-    write_text(path, render_overlay(base_spec, defect_spec, base_label=base_label,
-                                     defect_label=defect_label, title=title))
+def write_overlay(path, base_spec, defect_spec=None, defect_label="defect", title=""):
+    write_text(path, render_overlay(base_spec, defect_spec, defect_label=defect_label,
+                                    title=title))

@@ -218,7 +218,12 @@ class TestParseConfig:
          "scenarios 0 and 2 share the label 'inhibit-J-1-2'"),
         ([{"type": "remove_site", "site": 4, "label": "baseline"}],
          "scenario 0: label 'baseline' is reserved"),
-    ], ids=["duplicate", "baseline"])
+        ([{"type": "remove_site", "site": 4},
+          {"type": "remove_site", "site": 5, "label": "../up"}],
+         r"scenario 1: label '\.\./up' must not contain a path separator"),
+        ([{"type": "remove_site", "site": 4, "label": "/tmp/escaped"}],
+         "scenario 0: label '/tmp/escaped' must not contain a path separator"),
+    ], ids=["duplicate", "baseline", "parent-dir", "absolute"])
     def test_scenario_labels_name_distinct_files(self, tmp_path, scenarios, message):
         path = write_config(tmp_path, scenarios=scenarios)
         with pytest.raises(ConfigError, match=message):
@@ -327,6 +332,18 @@ class TestBuildSetup:
                 "must hold finite rates >= 0; site 3 has -5.3")):
             build_setup(parse_config(path))
 
+    def test_nan_reference_energy_exits_one_naming_key_and_file(self, tmp_path, capsys):
+        # Python's JSON reader accepts NaN
+        name = write_network_file(tmp_path, dict(bundled_site_data(),
+                                                 reference_energy_cm1=float("nan")))
+        out = tmp_path / "out"
+        path = write_config(tmp_path, network="file", network_file=name, output_dir=str(out))
+        assert run_cli("spectrum", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: network file '{tmp_path / name}': "
+                       "key 'reference_energy_cm1' must be finite, got nan\n")
+        assert not out.exists()
+
     def test_network_file_too_small(self, tmp_path):
         netfile = tmp_path / "toy.json"
         netfile.write_text(json.dumps({
@@ -418,6 +435,20 @@ class TestCliSpectrum:
 
 
 class TestCliScenario:
+    @pytest.mark.parametrize("label", ["../up", "sub/escaped"])
+    def test_label_with_path_separator_writes_nothing(self, tmp_path, capsys, label):
+        out = tmp_path / "run" / "out"
+        out.parent.mkdir()
+        cfg = write_config(out.parent, output_dir=str(out),
+                           grid={"e_min": -171.0, "e_max": 893.0, "n_points": 51},
+                           scenarios=[{"type": "remove_site", "site": 5, "label": label}])
+        assert run_cli("scenario", "--config", cfg) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "scenario 0: label" in captured.err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["run", "run.json"]
+
     def test_report_and_csvs(self, spectrum_setup, capsys):
         cfg, out = spectrum_setup
         assert run_cli("scenario", "--config", cfg) == 0

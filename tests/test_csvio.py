@@ -8,13 +8,14 @@ from excitonprobe.csvio import (
     _CSV_BLOCK_ROWS,
     CSV_HEADER,
     FANO_CSV_HEADER,
+    format_fano_table,
     read_spectrum_csv,
     write_spectrum_csv,
-    write_fano_csv,
+    write_text,
 )
 from excitonprobe.fano import FanoFit
 from excitonprobe.model import ProbeGrid
-from excitonprobe.scattering import Spectrum
+from excitonprobe.scattering import Spectrum, sweep_spectrum
 
 
 @pytest.fixture()
@@ -66,6 +67,14 @@ class TestRoundTrip:
         path = tmp_path / "legacy.csv"
         path.write_text("# g1 = 10.0\n" + Path(csv_path).read_text())
         assert read_spectrum_csv(str(path)).metadata["g1"] == "10.0"
+
+    def test_numpy_float_reference_energy_round_trips(self, preset, preset_grid, tmp_path):
+        net, wg = preset
+        net = dataclasses.replace(net, reference_energy=np.float64(12000.0))
+        path = tmp_path / "np.csv"
+        write_spectrum_csv(str(path), sweep_spectrum(net, wg, preset_grid))
+        assert "# reference_energy_cm1 = 12000.0\n" in path.read_text()
+        assert read_spectrum_csv(str(path)).metadata["reference_energy_cm1"] == 12000.0
 
     def test_read_arrays_are_read_only(self, csv_path):
         back = read_spectrum_csv(csv_path)
@@ -182,7 +191,7 @@ class TestFanoCsv:
         fit = FanoFit(q=1.5, e_res=600.0, gamma_w=25.0, t_bg=0.8,
                       residual=1e-9, converged=True, iterations=12)
         p = tmp_path / "fits.csv"
-        write_fano_csv(str(p), [("window-1", fit)])
+        write_text(str(p), format_fano_table([("window-1", fit)]))
         lines = p.read_text().splitlines()
         assert lines[0] == FANO_CSV_HEADER
         assert lines[1].startswith("window-1,")

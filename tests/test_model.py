@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -151,6 +152,20 @@ class TestSiteNetwork:
             net.epsilon[0] = 99.0
         with pytest.raises(ValueError):
             net.coupling[0, 1] = 99.0
+
+    def test_reference_energy_is_a_python_float(self):
+        net = dataclasses.replace(small_network(3), reference_energy=np.float64(12000.0))
+        assert type(net.reference_energy) is float and net.reference_energy == 12000.0
+
+    @pytest.mark.parametrize("value, message", [
+        (float("nan"), "reference_energy must be finite, got nan"),
+        (float("-inf"), "reference_energy must be finite, got -inf"),
+        ("12000", "reference_energy must be a real number, got '12000'"),
+        (True, "reference_energy must be a real number, got True"),
+    ], ids=["nan", "inf", "string", "bool"])
+    def test_reference_energy_must_be_finite_real(self, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(small_network(3), reference_energy=value)
 
 
 class TestWaveguideCoupling:

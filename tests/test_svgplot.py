@@ -1,0 +1,40 @@
+import hashlib
+
+import pytest
+
+from excitonprobe import RemoveSite, apply_defect, default_grid, fmo_preset, sweep_spectrum
+from excitonprobe.svgplot import render_overlay
+
+
+@pytest.fixture(scope="module")
+def spectra():
+    net, wg = fmo_preset()
+    grid = default_grid(net, n_points=401)
+    defect_net, defect_wg = apply_defect(net, wg, RemoveSite(5))
+    return sweep_spectrum(net, wg, grid), sweep_spectrum(defect_net, defect_wg, grid)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPinnedBytes:
+    """The SVG bytes are pinned: a change to any coordinate, tick, legend
+    entry or escape shows up as a new digest."""
+
+    def test_baseline_alone(self, spectra):
+        svg = render_overlay(spectra[0], title="baseline transmission")
+        assert len(svg) == 7340
+        assert sha256(svg) == "ad3efd8b2363146810cbe33995f6a278a212836dff6b8b42ec3010265a1ac772"
+
+    def test_baseline_untitled(self, spectra):
+        svg = render_overlay(spectra[0])
+        assert len(svg) == 7226
+        assert sha256(svg) == "231f3d60333e130931e1d2d13f4e3cc9581ffbda8ad3632aac630fff8a4e3b0c"
+
+    def test_overlay_with_escaped_labels(self, spectra):
+        svg = render_overlay(*spectra, defect_label='remove <site 5> & "J"',
+                             title="site 5 < & >")
+        assert "remove &lt;site 5&gt; &amp; \"J\"" in svg
+        assert len(svg) == 13238
+        assert sha256(svg) == "8643144495780c0758ac2959191d712eeb609d0ca0b26afe3e8382e2e65a17e0"
