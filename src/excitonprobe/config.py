@@ -111,6 +111,9 @@ class RunConfig:
             if any(sep in scenario.label for sep in separators):
                 raise ValueError(f"scenario {i}: label {scenario.label!r} must not contain "
                                  f"a path separator")
+            if "\0" in scenario.label:
+                raise ValueError(f"scenario {i}: label {scenario.label!r} must not contain "
+                                 f"a NUL character")
             j = first.setdefault(scenario.label, i)
             if j != i:
                 raise ValueError(f"scenarios {j} and {i} share the label {scenario.label!r}")

@@ -8,7 +8,9 @@ Writes are deterministic: identical inputs give byte-identical files.
 
 from __future__ import annotations
 
+import math
 import os
+import warnings
 
 import numpy as np
 
@@ -21,6 +23,35 @@ _CSV_COLUMNS = ("E_cm1", "T", "R", "A_total", *(f"A_{name}" for name in _CSV_CHA
 CSV_HEADER = ",".join(_CSV_COLUMNS)
 _CSV_ROW = ",".join(["%.12e"] * len(_CSV_COLUMNS)) + "\n"
 _CSV_BLOCK_ROWS = 4096
+
+# The %.12e block kernel (_format_block) writes a finite x as its sign, then
+# the 13 digits of n = round(|x| * 10**(12 - e)) as d.dddddddddddd, then e.
+# For e in [_EXP_MIN, _EXP_MAX] the scale 10**|12 - e| is an exact double
+# (5**22 < 2**53), so the scaled m is one correctly rounded product or
+# quotient of exact operands. Rounding to nearest is monotonic and maps
+# every double to itself, so for any double h, m < h implies that the exact
+# product is below h, and m > h that it is above h. The rounding error that
+# can change a digit is therefore zero wherever m is not a half-integer:
+# half-integers below 2**52 are doubles, so the exact product then rounds to
+# the same integer as m. 1e13 is a double, so m < 1e13 implies an exact
+# product below 1e13; an exact product just below 1e12 gives m = 1e12, and
+# both print 1.000000000000e+<e>. Every other value is formatted by %:
+# half-integer m (decimal ties among them), zeros, subnormals, exponents
+# outside the exact scales, and an x next to a power of ten where
+# floor(log10|x|) is one too high or too low.
+_EXP_MIN, _EXP_MAX = -10, 34
+_SCALE_MUL = np.array([float(10 ** max(12 - e, 0)) for e in range(_EXP_MIN, _EXP_MAX + 1)])
+_SCALE_DIV = np.array([float(10 ** max(e - 12, 0)) for e in range(_EXP_MIN, _EXP_MAX + 1)])
+# ASCII digits of 0000..9999, four bytes per entry, read as one native uint32
+_DIGITS4 = np.frombuffer("".join(f"{k:04d}" for k in range(10000)).encode("ascii"),
+                         dtype=np.uint32).copy()
+# Exponent text of -324..308, the exponents of finite doubles: sign, hundreds
+# digit or NUL, tens, units
+_EXP_OFFSET = 324
+_EXP4 = np.frombuffer("".join(
+    text if len(text) == 4 else text[0] + "\0" + text[1:]
+    for text in (f"{k:+03d}" for k in range(-_EXP_OFFSET, 309))).encode("ascii"),
+    dtype=np.uint32).copy()
 
 FANO_CSV_HEADER = "label,q,e_res,gamma_w,t_bg,residual,converged"
 
@@ -63,7 +94,12 @@ def write_spectrum_csv(path, spec: Spectrum):
                             *(spec.A_channels[name] for name in _CSV_CHANNELS)))
     with _open_text(path) as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.writelines(format_rows(_CSV_ROW, data))
+        for start in range(0, len(data), _CSV_BLOCK_ROWS):
+            block = data[start:start + _CSV_BLOCK_ROWS]
+            if np.isfinite(block).all():
+                fh.write(_format_block(block))
+            else:
+                fh.writelines(format_rows(_CSV_ROW, block))
 
 
 def format_rows(row_format, data):
@@ -77,59 +113,148 @@ def format_rows(row_format, data):
         yield (row_format * len(block)) % tuple(block.ravel().tolist())
 
 
+def _decimal_digits(x):
+    """(n, e) for each finite x: '%.12e' % x is its sign, n as d.dddddddddddd, then e."""
+    ax = np.abs(x)
+    with np.errstate(divide="ignore"):
+        e = np.floor(np.log10(ax))
+    e = np.clip(e, _EXP_MIN, _EXP_MAX).astype(np.int64)
+    # one of the two factors is 1.0, so m takes a single rounding
+    m = ax * _SCALE_MUL[e - _EXP_MIN] / _SCALE_DIV[e - _EXP_MIN]
+    exact = (m >= 1e12) & (m < 1e13) & (m - np.floor(m) != 0.5)
+    n = np.rint(np.where(exact, m, 0.0)).astype(np.int64)
+    carry = n == 10 ** 13
+    n[carry] = 10 ** 12
+    e += carry
+    for i in np.flatnonzero(~exact):
+        digits, _, exponent = ("%.12e" % float(x[i])).lstrip("-").partition("e")
+        n[i] = int(digits.replace(".", ""))
+        e[i] = int(exponent)
+    return n, e
+
+
+def _format_block(block):
+    """The text of (_CSV_ROW * len(block)) % values for a finite 2-D block.
+
+    Each value fills a 21-byte slot (sign, d, '.', 12 digits, 'e', exponent
+    sign, three exponent digits, separator) in one byte buffer, with NUL in
+    place of an absent sign or hundreds digit; the NULs are then dropped.
+    """
+    rows, cols = block.shape
+    x = block.ravel()
+    n, e = _decimal_digits(x)
+    slots = np.empty((rows, cols, 21), dtype=np.uint8)
+    flat = slots.reshape(-1, 21)
+    flat[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    lead = n // 10 ** 12
+    flat[:, 1] = lead + ord("0")
+    flat[:, 2] = ord(".")
+    rest = n - lead * 10 ** 12
+    high = rest // 10 ** 8
+    rest -= high * 10 ** 8
+    middle = rest // 10 ** 4
+    rest -= middle * 10 ** 4
+    words = flat[:, 3:15].view(np.uint32)
+    words[:, 0] = _DIGITS4[high]
+    words[:, 1] = _DIGITS4[middle]
+    words[:, 2] = _DIGITS4[rest]
+    flat[:, 15] = ord("e")
+    flat[:, 16:20].view(np.uint32)[:, 0] = _EXP4[e + _EXP_OFFSET]
+    slots[:, :, 20] = ord(",")
+    slots[:, -1, 20] = ord("\n")
+    return slots.tobytes().replace(b"\0", b"").decode("ascii")
+
+
 def read_spectrum_csv(path) -> Spectrum:
     """Rebuild a Spectrum from a file written by write_spectrum_csv.
 
-    The energy column must form a uniform grid; metadata lines come back as
-    a dict, each value read as the type _META_TYPES gives its key (str for
-    a key it does not list).
+    The energy column must form a uniform grid and every other value must be
+    finite; metadata lines come back as a dict, each value read as the type
+    _META_TYPES gives its key (str for a key it does not list).
+
+    The rows after the header go to numpy's C parser. Where it fails or
+    yields anything but a finite 7-column array, the line parser reads the
+    whole file again: it accepts what Python's float() accepts, skips `#`
+    lines, and names the line of any error.
     """
-    metadata = {}
-    rows = []
-    header_seen = False
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        metadata, _ = _read_preamble(fh, path)
+        try:
+            # an empty body warns; the line parser reports it
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    if data is None or data.shape[1] != len(_CSV_COLUMNS) or not np.isfinite(data).all():
+        metadata, data = _parse_lines(path)
+    return _spectrum_from_rows(path, metadata, data)
+
+
+def _read_metadata_line(metadata, line, path, lineno):
+    body = line[1:].strip()
+    if "=" in body:
+        key, _, raw = body.partition("=")
+        key = key.strip()
+        try:
+            metadata[key] = _META_TYPES.get(key, str)(raw.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: metadata {key!r}: {exc}") from None
+
+
+def _read_preamble(fh, path):
+    """Read fh up to and including the header: (metadata, header line number)."""
+    metadata = {}
+    for lineno, line in enumerate(iter(fh.readline, ""), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if line.startswith("#"):
+            _read_metadata_line(metadata, line, path, lineno)
+        elif line != CSV_HEADER:
+            raise ValueError(f"{path}:{lineno}: expected header {CSV_HEADER!r}, got {line!r}")
+        else:
+            return metadata, lineno
+    raise ValueError(f"{path}: missing header line {CSV_HEADER!r}")
+
+
+def _parse_lines(path):
+    """The line parser: (metadata, rows), raising an error that names a bad line."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        metadata, header_lineno = _read_preamble(fh, path)
+        for lineno, line in enumerate(fh, start=header_lineno + 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, raw = body.partition("=")
-                    key = key.strip()
-                    try:
-                        metadata[key] = _META_TYPES.get(key, str)(raw.strip())
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: metadata {key!r}: {exc}") from None
-                continue
-            if not header_seen:
-                if line != CSV_HEADER:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected header {CSV_HEADER!r}, got {line!r}"
-                    )
-                header_seen = True
+                _read_metadata_line(metadata, line, path, lineno)
                 continue
             parts = line.split(",")
             if len(parts) != len(_CSV_COLUMNS):
                 raise ValueError(f"{path}:{lineno}: expected {len(_CSV_COLUMNS)} columns, "
                                  f"got {len(parts)}")
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric value ({exc})") from None
-    if not header_seen:
-        raise ValueError(f"{path}: missing header line {CSV_HEADER!r}")
-    if len(rows) < 2:
-        raise ValueError(f"{path}: needs at least 2 data rows, got {len(rows)}")
+            for name, value in zip(_CSV_COLUMNS[1:], row[1:]):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: non-finite value in column {name}")
+            rows.append(row)
+    return metadata, np.array(rows)
 
-    data = np.array(rows)
+
+def _spectrum_from_rows(path, metadata, data) -> Spectrum:
+    if len(data) < 2:
+        raise ValueError(f"{path}: needs at least 2 data rows, got {len(data)}")
     energies = data[:, 0]
     spacing = np.diff(energies)
     if (not np.isfinite(energies).all() or spacing.min() <= 0
             or (spacing.max() - spacing.min()) > 1e-6 * abs(spacing.mean())):
         raise ValueError(f"{path}: energy column is not a uniform increasing grid")
     grid = ProbeGrid(e_min=float(energies[0]), e_max=float(energies[-1]),
-                     n_points=len(rows))
+                     n_points=len(data))
 
     _, T, R, A_total, *absorbed = (np.ascontiguousarray(col) for col in data.T)
     by_channel = dict(zip(_CSV_CHANNELS, absorbed))

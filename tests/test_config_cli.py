@@ -9,7 +9,7 @@ import pytest
 
 from excitonprobe.cli import main
 from excitonprobe.config import ConfigError, RunConfig, build_setup, parse_config
-from excitonprobe.csvio import FANO_CSV_HEADER, read_spectrum_csv
+from excitonprobe.csvio import CSV_HEADER, FANO_CSV_HEADER, read_spectrum_csv
 from excitonprobe.model import fmo_preset, network_fingerprint
 from excitonprobe.scenarios import (
     SCENARIO_TYPES, InhibitCoupling, RemoveSite, SetPortAmplitudes, run_scenario_suite,
@@ -223,7 +223,9 @@ class TestParseConfig:
          r"scenario 1: label '\.\./up' must not contain a path separator"),
         ([{"type": "remove_site", "site": 4, "label": "/tmp/escaped"}],
          "scenario 0: label '/tmp/escaped' must not contain a path separator"),
-    ], ids=["duplicate", "baseline", "parent-dir", "absolute"])
+        ([{"type": "remove_site", "site": 4, "label": "a\u0000b"}],
+         r"scenario 0: label 'a\\x00b' must not contain a NUL character"),
+    ], ids=["duplicate", "baseline", "parent-dir", "absolute", "nul"])
     def test_scenario_labels_name_distinct_files(self, tmp_path, scenarios, message):
         path = write_config(tmp_path, scenarios=scenarios)
         with pytest.raises(ConfigError, match=message):
@@ -449,6 +451,20 @@ class TestCliScenario:
         assert "scenario 0: label" in captured.err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["run", "run.json"]
 
+    def test_label_with_nul_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run" / "out"
+        out.parent.mkdir()
+        cfg = write_config(out.parent, output_dir=str(out),
+                           grid={"e_min": -171.0, "e_max": 893.0, "n_points": 51},
+                           scenarios=[{"type": "remove_site", "site": 5},
+                                      {"type": "remove_site", "site": 4, "label": "a\u0000b"}])
+        assert run_cli("scenario", "--config", cfg) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "scenario 1: label 'a\\x00b'" in captured.err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["run", "run.json"]
+
     def test_report_and_csvs(self, spectrum_setup, capsys):
         cfg, out = spectrum_setup
         assert run_cli("scenario", "--config", cfg) == 0
@@ -551,6 +567,26 @@ class TestCliDiff:
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert run_cli("diff", "--base", "nope.csv", "--mod", "nope.csv") == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["diff", "fano"])
+def test_non_finite_spectrum_value_is_one_error_line(spectrum_setup, capsys, command):
+    cfg, out = spectrum_setup
+    run_cli("spectrum", "--config", cfg)
+    path = out / "baseline.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    row = lines.index(CSV_HEADER + "\n") + 2
+    fields = lines[row].split(",")
+    fields[1] = "nan"
+    lines[row] = ",".join(fields)
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    argv = {"diff": ["--base", str(path), "--mod", str(path)],
+            "fano": ["--spectrum", str(path), "--window", "540,700"]}[command]
+    assert run_cli(command, *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:{row + 1}: non-finite value in column T\n"
 
 
 class TestCliFano:

@@ -1,11 +1,24 @@
 import dataclasses
+import hashlib
+import json
+import struct
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from excitonprobe import csvio
+from excitonprobe.cli import main
 from excitonprobe.csvio import (
     _CSV_BLOCK_ROWS,
+    _CSV_COLUMNS,
+    _CSV_ROW,
+    _format_block,
+    _parse_lines,
+    _spectrum_from_rows,
     CSV_HEADER,
     FANO_CSV_HEADER,
     format_fano_table,
@@ -15,7 +28,7 @@ from excitonprobe.csvio import (
 )
 from excitonprobe.fano import FanoFit
 from excitonprobe.model import ProbeGrid
-from excitonprobe.scattering import Spectrum, sweep_spectrum
+from excitonprobe.scattering import Spectrum, default_grid, sweep_spectrum
 
 
 @pytest.fixture()
@@ -94,6 +107,20 @@ class TestDeterminism:
         raw = Path(csv_path).read_bytes()
         assert b"\r" not in raw
 
+    def test_fine_preset_spectrum_bytes_pinned(self, preset, tmp_path):
+        # `excitonprobe spectrum` on the preset's default span at 120001 points;
+        # the length and hash are those of the %-per-block writer the kernel replaced
+        grid = default_grid(preset[0], n_points=120001)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "grid": {"e_min": grid.e_min, "e_max": grid.e_max, "n_points": grid.n_points},
+            "output_dir": str(tmp_path / "out")}))
+        assert main(["spectrum", "--config", str(cfg)]) == 0
+        raw = (tmp_path / "out" / "baseline.csv").read_bytes()
+        assert len(raw) == 15979622
+        assert hashlib.sha256(raw).hexdigest() == (
+            "c8654d55b49e78395b604cc91dbdca851cde4c2348c135053862e65feba5c5db")
+
 
 def per_row_text(spec):
     """Data rows formatted one f-string per row: the reference for the writer."""
@@ -129,6 +156,130 @@ class TestWriterText:
         # report the first (written, expected) pair that differs: pytest's full
         # diff of two texts this long takes minutes
         assert next(((a, b) for a, b in zip(got, want) if a != b), None) is None
+
+
+def float_from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@st.composite
+def decimal_ties(draw):
+    """q / 2**j with q odd and q * 5**j of 14 digits: its exact decimal value
+    has 14 significant digits and ends in 5, so %.12e must break a tie."""
+    j = draw(st.integers(1, 20))
+    lo = -(-10 ** 13 // 5 ** j)
+    hi = (10 ** 14 - 1) // 5 ** j
+    q = 2 * draw(st.integers(lo // 2, (hi - 1) // 2)) + 1
+    return draw(st.sampled_from((1.0, -1.0))) * q / 2 ** j
+
+
+# powers of ten and their neighbours, where floor(log10) can miss by one,
+# across and beyond the kernel's exact-scale exponents
+DECADE_EDGES = [float(np.nextafter(10.0 ** k, to)) for k in range(-14, 40)
+                for to in (0.0, 10.0 ** k, np.inf)]
+# the double nearest a 14-digit decimal ending in 5: its scaled product
+# mostly lands on a half-integer that the exact value is just above or below
+NEAR_DECIMAL_TIES = st.builds(lambda sign, digits, exp: sign * float(f"{10 * digits + 5}e{exp}"),
+                              st.sampled_from((1.0, -1.0)), st.integers(10 ** 12, 10 ** 13 - 1),
+                              st.integers(-40, 40))
+FINITE_VALUES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(float_from_bits).filter(np.isfinite),
+    st.floats(allow_nan=False, allow_infinity=False),
+    NEAR_DECIMAL_TIES,
+    decimal_ties(),
+    decimal_ties().map(lambda x: float(np.nextafter(x, np.inf))),
+    decimal_ties().map(lambda x: float(np.nextafter(x, -np.inf))),
+    st.sampled_from(DECADE_EDGES),
+)
+
+
+class TestWriterKernel:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda rows: st.lists(FINITE_VALUES, min_size=7 * rows, max_size=7 * rows)))
+    def test_kernel_matches_percent_on_finite_blocks(self, values):
+        block = np.array(values).reshape(-1, 7)
+        assert _format_block(block) == (_CSV_ROW * len(block)) % tuple(block.ravel().tolist())
+
+    def test_kernel_matches_percent_on_full_blocks(self, rng):
+        # one block of arbitrary bit patterns, most outside the exact scales,
+        # and one log-uniform across them and a decade beyond each end
+        shape = (_CSV_BLOCK_ROWS, 7)
+        patterns = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64).view(np.float64)
+        spread = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-12.0, 36.0, shape)
+        for block in (np.where(np.isfinite(patterns), patterns, 0.5), spread):
+            assert _format_block(block) == (_CSV_ROW * len(block)) % tuple(block.ravel().tolist())
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(decimal_ties())
+    def test_tie_strategy_draws_ties(self, x):
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 14 and digits[-1] == 5
+
+
+def line_parser_read(path):
+    return _spectrum_from_rows(path, *_parse_lines(path))
+
+
+def read_outcome(read, path):
+    """The Spectrum as comparable bytes, or the error message."""
+    try:
+        spec = read(path)
+    except ValueError as exc:
+        return str(exc)
+    arrays = (spec.T, spec.R, spec.A_total, *(spec.A_channels[k] for k in sorted(spec.A_channels)))
+    return spec.grid, spec.metadata, [a.tobytes() for a in arrays]
+
+
+LINE_INSERTS = ["", " ", "\t", " \t ", "#", "# note", "# v_g = 2.5", "# v_g = oops"]
+FIELD_TEXTS = ["1_0", "2_5.0_1e-0_1", "0x1p-3", "0x1.8p1", "nan", "NaN", "inf", "-inf",
+               "Infinity", "1e400", "-0", " 0.25 ", "+.5", "", "1e", "0.5d0"]
+EDIT = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 20), st.sampled_from(LINE_INSERTS)),
+    st.tuples(st.just("field"), st.integers(0, 20), st.integers(0, 6),
+              st.sampled_from(FIELD_TEXTS)),
+    st.tuples(st.just("drop-field"), st.integers(0, 20)),
+    st.tuples(st.just("extra-field"), st.integers(0, 20)),
+)
+
+
+class TestReaderPaths:
+    @pytest.fixture(scope="class")
+    def preset_text(self, preset):
+        net, wg = preset
+        spec = sweep_spectrum(net, wg, default_grid(net, n_points=21))
+        return spec, per_row_text(spec)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(EDIT, max_size=4), crlf=st.booleans())
+    def test_fast_path_agrees_with_line_parser(self, preset_text, tmp_path, edits, crlf):
+        spec, rows_text = preset_text
+        rows = rows_text.splitlines()
+        for edit in edits:
+            kind, at = edit[0], edit[1] % len(rows)
+            if kind == "insert":
+                rows.insert(at, edit[2])
+            elif rows[at].count(",") == len(_CSV_COLUMNS) - 1:
+                fields = rows[at].split(",")
+                if kind == "field":
+                    fields[edit[2]] = edit[3]
+                elif kind == "drop-field":
+                    fields.pop()
+                else:
+                    fields.append("0.0")
+                rows[at] = ",".join(fields)
+        head = [f"# v_g = {spec.metadata['v_g']!r}", CSV_HEADER]
+        path = tmp_path / "mutated.csv"
+        path.write_bytes(("\r\n" if crlf else "\n").join(head + rows + [""]).encode())
+        assert read_outcome(read_spectrum_csv, str(path)) == read_outcome(line_parser_read,
+                                                                          str(path))
+
+    def test_written_file_needs_no_line_parser(self, csv_path, monkeypatch):
+        want = read_outcome(line_parser_read, csv_path)
+        assert not isinstance(want, str)
+        monkeypatch.setattr(csvio, "_parse_lines", None)
+        assert read_outcome(read_spectrum_csv, csv_path) == want
 
 
 class TestReaderValidation:
@@ -175,6 +326,19 @@ class TestReaderValidation:
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=r"bad\.csv: energy column is not a uniform"):
             read_spectrum_csv(str(p))
+
+    @pytest.mark.parametrize("column", _CSV_COLUMNS[1:])
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_value_names_line_and_column(self, tmp_path, column, value):
+        p = tmp_path / "bad.csv"
+        rows = [CSV_HEADER] + [",".join([str(e)] + ["0.5"] * 6) for e in (0.0, 1.0, 2.0)]
+        fields = rows[2].split(",")
+        fields[_CSV_COLUMNS.index(column)] = value
+        rows[2] = ",".join(fields)
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_spectrum_csv(str(p))
+        assert str(err.value) == f"{p}:3: non-finite value in column {column}"
 
     def test_decreasing_grid_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"

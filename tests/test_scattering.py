@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from randnets import random_instance, random_network, single_emitter, single_emitter_transmission
 
@@ -11,8 +13,10 @@ from excitonprobe.model import (
     SiteNetwork,
     WaveguideCoupling,
 )
+from excitonprobe.scenarios import InhibitCoupling, RemoveSite, apply_defect
 from excitonprobe.scattering import (
     _CHUNK_BYTES,
+    _KERNELS,
     DEFAULT_GRID_MARGIN,
     DEFAULT_GRID_POINTS,
     NetworkValidationError,
@@ -391,3 +395,60 @@ class TestKernel:
         spec = sweep_spectrum(net, wg, default_grid(net, n_points=11), solver="direct")
         assert spec.metadata["solver"] == "direct"
         assert solve_direct(net, wg, 0.0).solver == "direct"
+
+
+# Networks from tests/randnets.py, from one site up to sizes whose sweep of
+# PROPERTY_GRID spans several chunks (40 sites: 40 points per chunk)
+RANDOM_NETWORK = {"seed": st.integers(0, 2 ** 32 - 1), "n": st.integers(1, 40),
+                  "lossless": st.booleans()}
+PROPERTY_GRID = ProbeGrid(-80.0, 80.0, 101)
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class TestKernelProperties:
+    """Identities of the chunked kernel on random networks, against the per-point oracle."""
+
+    @PROPERTY_SETTINGS
+    @given(**RANDOM_NETWORK)
+    def test_flux_balance(self, seed, n, lossless):
+        net, wg = random_network(np.random.default_rng(seed), n, lossless)
+        spec = sweep_spectrum(net, wg, PROPERTY_GRID)
+        assert np.max(np.abs(spec.T + spec.R + spec.A_total - 1.0)) < 1e-10
+        assert np.max(np.abs(sum(spec.A_channels.values()) - spec.A_total)) < 1e-12
+        assert not lossless or np.all(spec.A_total == 0.0)
+
+    @PROPERTY_SETTINGS
+    @given(**RANDOM_NETWORK)
+    def test_reflection_is_transmission_minus_one(self, seed, n, lossless):
+        # the direct kernel solves t and r as separate unknowns
+        net, wg = random_network(np.random.default_rng(seed), n, lossless)
+        amplitudes, _ = _KERNELS["direct"](net, wg)
+        t, r, _ = amplitudes(PROPERTY_GRID.energies())
+        assert np.max(np.abs(r - (t - 1.0))) < 1e-10
+
+    @PROPERTY_SETTINGS
+    @given(**RANDOM_NETWORK, points=st.lists(st.integers(0, PROPERTY_GRID.n_points - 1),
+                                             min_size=1, max_size=4, unique=True))
+    def test_sweep_matches_direct_oracle_at_sampled_points(self, seed, n, lossless, points):
+        net, wg = random_network(np.random.default_rng(seed), n, lossless)
+        got = sweep_ledgers(sweep_spectrum(net, wg, PROPERTY_GRID))
+        want = point_ledgers(solve_direct, net, wg, PROPERTY_GRID.energies()[points])
+        for key in want:
+            assert np.max(np.abs(got[key][points] - want[key])) < 1e-10, key
+
+    @PROPERTY_SETTINGS
+    @given(**RANDOM_NETWORK, pick=st.integers(0, 2 ** 16))
+    def test_removing_a_site_equals_cutting_its_couplings(self, seed, n, lossless, pick):
+        net, wg = random_network(np.random.default_rng(seed), n, lossless)
+        free = [s for s in range(1, n + 1) if s not in dict(wg.ports)]
+        assume(free)
+        site = free[pick % len(free)]
+        removed = sweep_spectrum(*apply_defect(net, wg, RemoveSite(site)), PROPERTY_GRID)
+        cut = net, wg
+        for other in range(1, n + 1):
+            if other != site:
+                cut = apply_defect(*cut, InhibitCoupling(site, other))
+        cut = sweep_spectrum(*cut, PROPERTY_GRID)
+        got, want = sweep_ledgers(removed), sweep_ledgers(cut)
+        for key in want:
+            assert np.max(np.abs(got[key] - want[key])) < 1e-10, key
