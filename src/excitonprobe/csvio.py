@@ -24,35 +24,6 @@ CSV_HEADER = ",".join(_CSV_COLUMNS)
 _CSV_ROW = ",".join(["%.12e"] * len(_CSV_COLUMNS)) + "\n"
 _CSV_BLOCK_ROWS = 4096
 
-# The %.12e block kernel (_format_block) writes a finite x as its sign, then
-# the 13 digits of n = round(|x| * 10**(12 - e)) as d.dddddddddddd, then e.
-# For e in [_EXP_MIN, _EXP_MAX] the scale 10**|12 - e| is an exact double
-# (5**22 < 2**53), so the scaled m is one correctly rounded product or
-# quotient of exact operands. Rounding to nearest is monotonic and maps
-# every double to itself, so for any double h, m < h implies that the exact
-# product is below h, and m > h that it is above h. The rounding error that
-# can change a digit is therefore zero wherever m is not a half-integer:
-# half-integers below 2**52 are doubles, so the exact product then rounds to
-# the same integer as m. 1e13 is a double, so m < 1e13 implies an exact
-# product below 1e13; an exact product just below 1e12 gives m = 1e12, and
-# both print 1.000000000000e+<e>. Every other value is formatted by %:
-# half-integer m (decimal ties among them), zeros, subnormals, exponents
-# outside the exact scales, and an x next to a power of ten where
-# floor(log10|x|) is one too high or too low.
-_EXP_MIN, _EXP_MAX = -10, 34
-_SCALE_MUL = np.array([float(10 ** max(12 - e, 0)) for e in range(_EXP_MIN, _EXP_MAX + 1)])
-_SCALE_DIV = np.array([float(10 ** max(e - 12, 0)) for e in range(_EXP_MIN, _EXP_MAX + 1)])
-# ASCII digits of 0000..9999, four bytes per entry, read as one native uint32
-_DIGITS4 = np.frombuffer("".join(f"{k:04d}" for k in range(10000)).encode("ascii"),
-                         dtype=np.uint32).copy()
-# Exponent text of -324..308, the exponents of finite doubles: sign, hundreds
-# digit or NUL, tens, units
-_EXP_OFFSET = 324
-_EXP4 = np.frombuffer("".join(
-    text if len(text) == 4 else text[0] + "\0" + text[1:]
-    for text in (f"{k:+03d}" for k in range(-_EXP_OFFSET, 309))).encode("ascii"),
-    dtype=np.uint32).copy()
-
 FANO_CSV_HEADER = "label,q,e_res,gamma_w,t_bg,residual,converged"
 
 
@@ -94,12 +65,7 @@ def write_spectrum_csv(path, spec: Spectrum):
                             *(spec.A_channels[name] for name in _CSV_CHANNELS)))
     with _open_text(path) as fh:
         fh.write("\n".join(lines) + "\n")
-        for start in range(0, len(data), _CSV_BLOCK_ROWS):
-            block = data[start:start + _CSV_BLOCK_ROWS]
-            if np.isfinite(block).all():
-                fh.write(_format_block(block))
-            else:
-                fh.writelines(format_rows(_CSV_ROW, block))
+        fh.writelines(format_rows(_CSV_ROW, data))
 
 
 def format_rows(row_format, data):
@@ -111,58 +77,6 @@ def format_rows(row_format, data):
     for start in range(0, len(data), _CSV_BLOCK_ROWS):
         block = data[start:start + _CSV_BLOCK_ROWS]
         yield (row_format * len(block)) % tuple(block.ravel().tolist())
-
-
-def _decimal_digits(x):
-    """(n, e) for each finite x: '%.12e' % x is its sign, n as d.dddddddddddd, then e."""
-    ax = np.abs(x)
-    with np.errstate(divide="ignore"):
-        e = np.floor(np.log10(ax))
-    e = np.clip(e, _EXP_MIN, _EXP_MAX).astype(np.int64)
-    # one of the two factors is 1.0, so m takes a single rounding
-    m = ax * _SCALE_MUL[e - _EXP_MIN] / _SCALE_DIV[e - _EXP_MIN]
-    exact = (m >= 1e12) & (m < 1e13) & (m - np.floor(m) != 0.5)
-    n = np.rint(np.where(exact, m, 0.0)).astype(np.int64)
-    carry = n == 10 ** 13
-    n[carry] = 10 ** 12
-    e += carry
-    for i in np.flatnonzero(~exact):
-        digits, _, exponent = ("%.12e" % float(x[i])).lstrip("-").partition("e")
-        n[i] = int(digits.replace(".", ""))
-        e[i] = int(exponent)
-    return n, e
-
-
-def _format_block(block):
-    """The text of (_CSV_ROW * len(block)) % values for a finite 2-D block.
-
-    Each value fills a 21-byte slot (sign, d, '.', 12 digits, 'e', exponent
-    sign, three exponent digits, separator) in one byte buffer, with NUL in
-    place of an absent sign or hundreds digit; the NULs are then dropped.
-    """
-    rows, cols = block.shape
-    x = block.ravel()
-    n, e = _decimal_digits(x)
-    slots = np.empty((rows, cols, 21), dtype=np.uint8)
-    flat = slots.reshape(-1, 21)
-    flat[:, 0] = np.where(np.signbit(x), ord("-"), 0)
-    lead = n // 10 ** 12
-    flat[:, 1] = lead + ord("0")
-    flat[:, 2] = ord(".")
-    rest = n - lead * 10 ** 12
-    high = rest // 10 ** 8
-    rest -= high * 10 ** 8
-    middle = rest // 10 ** 4
-    rest -= middle * 10 ** 4
-    words = flat[:, 3:15].view(np.uint32)
-    words[:, 0] = _DIGITS4[high]
-    words[:, 1] = _DIGITS4[middle]
-    words[:, 2] = _DIGITS4[rest]
-    flat[:, 15] = ord("e")
-    flat[:, 16:20].view(np.uint32)[:, 0] = _EXP4[e + _EXP_OFFSET]
-    slots[:, :, 20] = ord(",")
-    slots[:, -1, 20] = ord("\n")
-    return slots.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def read_spectrum_csv(path) -> Spectrum:

@@ -1,8 +1,6 @@
 import dataclasses
 import hashlib
 import json
-import struct
-from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +13,6 @@ from excitonprobe.cli import main
 from excitonprobe.csvio import (
     _CSV_BLOCK_ROWS,
     _CSV_COLUMNS,
-    _CSV_ROW,
-    _format_block,
     _parse_lines,
     _spectrum_from_rows,
     CSV_HEADER,
@@ -108,8 +104,7 @@ class TestDeterminism:
         assert b"\r" not in raw
 
     def test_fine_preset_spectrum_bytes_pinned(self, preset, tmp_path):
-        # `excitonprobe spectrum` on the preset's default span at 120001 points;
-        # the length and hash are those of the %-per-block writer the kernel replaced
+        # `excitonprobe spectrum` on the preset's default span at 120001 points
         grid = default_grid(preset[0], n_points=120001)
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
@@ -156,65 +151,6 @@ class TestWriterText:
         # report the first (written, expected) pair that differs: pytest's full
         # diff of two texts this long takes minutes
         assert next(((a, b) for a, b in zip(got, want) if a != b), None) is None
-
-
-def float_from_bits(bits):
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
-
-
-@st.composite
-def decimal_ties(draw):
-    """q / 2**j with q odd and q * 5**j of 14 digits: its exact decimal value
-    has 14 significant digits and ends in 5, so %.12e must break a tie."""
-    j = draw(st.integers(1, 20))
-    lo = -(-10 ** 13 // 5 ** j)
-    hi = (10 ** 14 - 1) // 5 ** j
-    q = 2 * draw(st.integers(lo // 2, (hi - 1) // 2)) + 1
-    return draw(st.sampled_from((1.0, -1.0))) * q / 2 ** j
-
-
-# powers of ten and their neighbours, where floor(log10) can miss by one,
-# across and beyond the kernel's exact-scale exponents
-DECADE_EDGES = [float(np.nextafter(10.0 ** k, to)) for k in range(-14, 40)
-                for to in (0.0, 10.0 ** k, np.inf)]
-# the double nearest a 14-digit decimal ending in 5: its scaled product
-# mostly lands on a half-integer that the exact value is just above or below
-NEAR_DECIMAL_TIES = st.builds(lambda sign, digits, exp: sign * float(f"{10 * digits + 5}e{exp}"),
-                              st.sampled_from((1.0, -1.0)), st.integers(10 ** 12, 10 ** 13 - 1),
-                              st.integers(-40, 40))
-FINITE_VALUES = st.one_of(
-    st.integers(0, 2 ** 64 - 1).map(float_from_bits).filter(np.isfinite),
-    st.floats(allow_nan=False, allow_infinity=False),
-    NEAR_DECIMAL_TIES,
-    decimal_ties(),
-    decimal_ties().map(lambda x: float(np.nextafter(x, np.inf))),
-    decimal_ties().map(lambda x: float(np.nextafter(x, -np.inf))),
-    st.sampled_from(DECADE_EDGES),
-)
-
-
-class TestWriterKernel:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.integers(1, 4).flatmap(
-        lambda rows: st.lists(FINITE_VALUES, min_size=7 * rows, max_size=7 * rows)))
-    def test_kernel_matches_percent_on_finite_blocks(self, values):
-        block = np.array(values).reshape(-1, 7)
-        assert _format_block(block) == (_CSV_ROW * len(block)) % tuple(block.ravel().tolist())
-
-    def test_kernel_matches_percent_on_full_blocks(self, rng):
-        # one block of arbitrary bit patterns, most outside the exact scales,
-        # and one log-uniform across them and a decade beyond each end
-        shape = (_CSV_BLOCK_ROWS, 7)
-        patterns = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64).view(np.float64)
-        spread = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-12.0, 36.0, shape)
-        for block in (np.where(np.isfinite(patterns), patterns, 0.5), spread):
-            assert _format_block(block) == (_CSV_ROW * len(block)) % tuple(block.ravel().tolist())
-
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(decimal_ties())
-    def test_tie_strategy_draws_ties(self, x):
-        digits = Decimal(x).as_tuple().digits
-        assert len(digits) == 14 and digits[-1] == 5
 
 
 def line_parser_read(path):
