@@ -26,13 +26,25 @@ Both satisfy the exact flux balance 1 - |t|^2 - |r|^2 = sum_n gamma_n
 a mutual cross-check throughout the test suite.
 
 Each route is one kernel over a stack of energies. The kernel validates the
-network and the ports once, then takes the energies in chunks: it stacks a
-chunk's matrices, solves them with one ``np.linalg.solve`` call and forms t,
+network and the ports once, then takes the energies in chunks and forms t,
 r, xi and the flux ledger (T, R, absorption per site and per loss channel)
-as arrays. A chunk's stacked matrices take at most about 1 MiB, so memory
-stays bounded on long grids and large networks. ``sweep_spectrum`` runs the
-kernel over a probe grid; ``solve_closed_form`` and ``solve_direct`` run it
-on a grid of one energy and wrap the result in a ``ScatteringSolution``.
+as arrays. How a chunk is solved depends on the route and the network size:
+
+* ``direct``, and ``closed_form`` below ``_SCHUR_MIN_SITES`` sites, stack
+  the chunk's matrices and solve them with one ``np.linalg.solve`` call
+  (an O(N^3) LU per energy).
+* ``closed_form`` from ``_SCHUR_MIN_SITES`` sites up factors H_eff = Z T Z^H
+  once per kernel with a complex Schur decomposition. Each energy then costs
+  one back substitution in the triangular T and one product with Z, O(N^2)
+  (the shifted systems share one reduction; Laub, IEEE TAC 26, 407 (1981)).
+  Z is unitary, so the route is backward stable even where the eigenvectors
+  of H_eff are nearly parallel, as at an exceptional point.
+
+A chunk's arrays take at most about 1 MiB, so memory stays bounded on long
+grids and large networks. A point's value does not depend on the chunk it
+is solved in. ``sweep_spectrum`` runs the kernel over a probe grid;
+``solve_closed_form`` and ``solve_direct`` run it on a grid of one energy
+and wrap the result in a ``ScatteringSolution``.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from .model import (
     LOSS_CHANNELS,
@@ -141,9 +154,15 @@ def _check_ports(net: SiteNetwork, wg: WaveguideCoupling):
         )
 
 
-# Bytes the stacked matrices of one chunk may take. The solve's copy and the
-# temporaries put the peak at about three times this.
+# Bytes one chunk's largest array may take: the stacked matrices of the LU
+# routes, the rows z of the Schur route. With the solve's copy or the y and
+# xi rows, a sweep's peak is about three to four times this.
 _CHUNK_BYTES = 2 ** 20
+
+# Networks with at least this many sites take the closed form's Schur route.
+# Smaller ones, the 7-site preset among them, keep the stacked LU solve and
+# with it the bytes of their pinned outputs.
+_SCHUR_MIN_SITES = 16
 
 
 def _solve_rows(stack, rhs):
@@ -160,33 +179,69 @@ def _solve_rows(stack, rhs):
 
 
 def _dot_rows(a, rows):
-    """a . row for each row, each summed in the order of a one-row a @ row."""
+    """a @ row for each row, each computed as a one-row a @ row is.
+
+    So a row's result does not depend on the rows stacked with it.
+    """
     return (a @ rows[..., None])[..., 0]
 
 
-def _closed_form_kernel(net: SiteNetwork, wg: WaveguideCoupling):
-    """Validate once; returns (amplitudes, n) for the N x N closed-form systems.
+def _lu_resolvent(H, w):
+    """(resolvent, bytes per point): y = (E - H)^-1 w by a stacked LU solve."""
+    n = H.shape[0]
+    rhs = w.astype(complex)
+    eye = np.eye(n, dtype=complex)
 
-    amplitudes(energies) solves one stacked system per energy and returns the
-    rows t, r and xi; n is the size of each system, which sets the chunk.
+    def resolvent(energies):
+        return _solve_rows(energies[:, None, None] * eye - H, rhs)
+
+    return resolvent, 16 * n * n
+
+
+def _schur_resolvent(H, w):
+    """(resolvent, bytes per point): y = (E - H)^-1 w from one Schur form.
+
+    H = Z T Z^H with T upper triangular, so (E - H)^-1 w = Z (E - T)^-1 Z^H w.
+    A zero diagonal of E - T, an exact pole, gives a non-finite row.
+    """
+    T, Z = linalg.schur(H, output="complex")
+    b = Z.conj().T @ w
+    lam = np.diag(T)
+    n = H.shape[0]
+
+    def resolvent(energies):
+        z = np.empty((energies.size, n), dtype=complex)
+        for k in range(n - 1, -1, -1):
+            z[:, k] = (b[k] + _dot_rows(T[k, k + 1:], z[:, k + 1:])) / (energies - lam[k])
+        return _dot_rows(Z, z)
+
+    return resolvent, 16 * n
+
+
+def _closed_form_kernel(net: SiteNetwork, wg: WaveguideCoupling):
+    """Validate once; returns (amplitudes, bytes per point) for the closed form.
+
+    amplitudes(energies) finds y = (E - H_eff)^-1 w at each energy, by the
+    Schur route from _SCHUR_MIN_SITES sites up and by stacked LU below, and
+    returns the rows t, r and xi; the bytes per point set the chunk.
     """
     H = effective_hamiltonian(net)
     _check_ports(net, wg)
     w = wg.amplitude_vector(net.n_sites)
-    rhs = w.astype(complex)
-    eye = np.eye(net.n_sites, dtype=complex)
+    route = _schur_resolvent if net.n_sites >= _SCHUR_MIN_SITES else _lu_resolvent
+    resolvent, point_bytes = route(H, w)
 
     def amplitudes(energies):
-        y = _solve_rows(energies[:, None, None] * eye - H, rhs)
+        y = resolvent(energies)
         # y @ w would sum in another order and can differ in the last bit
         t = 1.0 / (1.0 + 1j * _dot_rows(w, y) / wg.v_g)
         return t, t - 1.0, t[:, None] * y
 
-    return amplitudes, net.n_sites
+    return amplitudes, point_bytes
 
 
 def _direct_kernel(net: SiteNetwork, wg: WaveguideCoupling):
-    """Validate once; returns (amplitudes, n) for the (N+2)-unknown matching systems.
+    """Validate once; returns (amplitudes, bytes per point) for the (N+2)-unknown systems.
 
     Unknowns are (t, r, xi_1..xi_N). The two photon rows are the jump
     conditions across the coupling point; each site row balances the site
@@ -227,7 +282,7 @@ def _direct_kernel(net: SiteNetwork, wg: WaveguideCoupling):
         u = _solve_rows(stack, b)
         return u[:, 0], u[:, 1], u[:, 2:]
 
-    return amplitudes, n + 2
+    return amplitudes, 16 * (n + 2) ** 2
 
 
 _KERNELS = {"closed_form": _closed_form_kernel, "direct": _direct_kernel}
@@ -279,7 +334,13 @@ def _solve_point(net: SiteNetwork, wg: WaveguideCoupling, energy, solver: str):
 
 
 def solve_closed_form(net: SiteNetwork, wg: WaveguideCoupling, energy: float) -> ScatteringSolution:
-    """Green's-function route: one dense N x N solve, then the closed form."""
+    """Green's-function route: one dense N x N solve, then the closed form.
+
+    From _SCHUR_MIN_SITES sites up, each call factors H_eff afresh (Schur
+    route), which costs far more than one solve: at N = 200 about 60 ms per
+    call, against 3 ms for one LU (one BLAS thread, 2-vCPU x86-64). Use
+    ``sweep_spectrum`` for many energies; it factors H_eff once per sweep.
+    """
     return _solve_point(net, wg, energy, "closed_form")
 
 
@@ -323,8 +384,8 @@ def sweep_spectrum(net: SiteNetwork, wg: WaveguideCoupling, grid: ProbeGrid,
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}, expected one of {sorted(SOLVERS)}")
-    amplitudes, n = _KERNELS[solver](net, wg)
-    chunk = max(1, _CHUNK_BYTES // (16 * n * n))
+    amplitudes, point_bytes = _KERNELS[solver](net, wg)
+    chunk = max(1, _CHUNK_BYTES // point_bytes)
 
     energies = grid.energies()
     T = np.empty(grid.n_points)

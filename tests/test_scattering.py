@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from excitonprobe.scenarios import InhibitCoupling, RemoveSite, apply_defect
 from excitonprobe.scattering import (
     _CHUNK_BYTES,
     _KERNELS,
+    _SCHUR_MIN_SITES,
     DEFAULT_GRID_MARGIN,
     DEFAULT_GRID_POINTS,
     NetworkValidationError,
@@ -395,6 +397,90 @@ class TestKernel:
         spec = sweep_spectrum(net, wg, default_grid(net, n_points=11), solver="direct")
         assert spec.metadata["solver"] == "direct"
         assert solve_direct(net, wg, 0.0).solver == "direct"
+
+
+
+def exceptional_point_network(rng, n=20):
+    """Sites 1 and 2 at an exceptional point of H_eff; the other n - 2 random.
+
+    Both sites sit at 0 cm^-1 with widths 40 and 0, and J12 = (40 - 0)/4, so
+    the pair's two eigenvalues and eigenvectors of H_eff coalesce at -10i.
+    Sites 3..n are a randnets network, not coupled to the pair.
+    """
+    rest, _ = random_network(rng, n - 2)
+    coupling = np.zeros((n, n))
+    coupling[0, 1] = coupling[1, 0] = 10.0
+    coupling[2:, 2:] = rest.coupling
+    pair = {"dephasing": [40.0, 0.0], "ohmic": [0.0, 0.0], "sink": [0.0, 0.0]}
+    bd = LossBreakdown(**{name: np.concatenate([pair[name], getattr(rest.loss_breakdown, name)])
+                          for name in pair})
+    net = SiteNetwork(n_sites=n, epsilon=np.concatenate([[0.0, 0.0], rest.epsilon]),
+                      coupling=coupling, loss=bd.total(), loss_breakdown=bd)
+    return net, WaveguideCoupling(ports=((1, 3.0), (3, 2.0)))
+
+
+def schur_calls(monkeypatch):
+    """Record the size of every matrix handed to scipy.linalg.schur."""
+    calls = []
+    real = scipy.linalg.schur
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    return calls
+
+
+class TestSchurRoute:
+    """The closed form from _SCHUR_MIN_SITES sites up: one Schur form per sweep."""
+
+    @pytest.mark.parametrize("n", [_SCHUR_MIN_SITES, 40])
+    def test_sweep_equals_grid_of_one_solves(self, rng, monkeypatch, n):
+        # seven points per chunk, so 31 points take five chunks, the last short
+        monkeypatch.setattr(scattering, "_CHUNK_BYTES", 7 * 16 * n)
+        net, wg = random_network(rng, n)
+        grid = ProbeGrid(-80.0, 80.0, 31)
+        calls = schur_calls(monkeypatch)
+        got = sweep_ledgers(sweep_spectrum(net, wg, grid))
+        assert calls == [n]
+        want = point_ledgers(solve_closed_form, net, wg, grid.energies())
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_exceptional_point_matches_direct_oracle(self, rng):
+        net, wg = exceptional_point_network(rng)
+        H = effective_hamiltonian(net)
+        # the eigenvectors are nearly parallel: an eigenvector route would fail
+        assert np.linalg.cond(np.linalg.eig(H)[1]) > 1e6
+        grid = ProbeGrid(-80.0, 80.0, 161)
+        spec = sweep_spectrum(net, wg, grid)
+        got = sweep_ledgers(spec)
+        want = point_ledgers(solve_direct, net, wg, grid.energies())
+        for key in want:
+            assert np.max(np.abs(got[key] - want[key])) < 1e-10, key
+        assert np.max(np.abs(spec.T + spec.R + spec.A_total - 1.0)) < 1e-10
+
+    def test_route_starts_at_min_sites(self, preset, preset_grid, rng, monkeypatch):
+        calls = schur_calls(monkeypatch)
+        sweep_spectrum(*preset, preset_grid)
+        assert calls == []
+        grid = ProbeGrid(-80.0, 80.0, 101)
+        sweep_spectrum(*random_network(rng, _SCHUR_MIN_SITES - 1), grid)
+        assert calls == []
+        for sweeps in (1, 2):
+            sweep_spectrum(*random_network(rng, _SCHUR_MIN_SITES), grid)
+            assert calls == [_SCHUR_MIN_SITES] * sweeps
+
+    def test_lu_route_across_chunks_matches_direct_oracle(self, rng):
+        n = _SCHUR_MIN_SITES - 1
+        net, wg = random_network(rng, n)
+        grid = ProbeGrid(-80.0, 80.0, 2 * chunk_rows(n) + 19)
+        want = point_ledgers(solve_direct, net, wg, grid.energies())
+        got = sweep_ledgers(sweep_spectrum(net, wg, grid))
+        for key in want:
+            assert np.max(np.abs(got[key] - want[key])) < 1e-10, key
 
 
 # Networks from tests/randnets.py, from one site up to sizes whose sweep of
