@@ -40,9 +40,9 @@ as arrays. How a chunk is solved depends on the route and the network size:
   Z is unitary, so the route is backward stable even where the eigenvectors
   of H_eff are nearly parallel, as at an exceptional point.
 
-A chunk's arrays take at most about 1 MiB, so memory stays bounded on long
-grids and large networks. A point's value does not depend on the chunk it
-is solved in. ``sweep_spectrum`` runs the kernel over a probe grid;
+A chunk's largest array takes at most about 1 MiB, so memory stays bounded
+on long grids and large networks. A point's value does not depend on the
+chunk it is solved in. ``sweep_spectrum`` runs the kernel over a probe grid;
 ``solve_closed_form`` and ``solve_direct`` run it on a grid of one energy
 and wrap the result in a ``ScatteringSolution``.
 """
