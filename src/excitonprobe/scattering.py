@@ -38,7 +38,9 @@ as arrays. How a chunk is solved depends on the route and the network size:
   one back substitution in the triangular T and one product with Z, O(N^2)
   (the shifted systems share one reduction; Laub, IEEE TAC 26, 407 (1981)).
   Z is unitary, so the route is backward stable even where the eigenvectors
-  of H_eff are nearly parallel, as at an exceptional point.
+  of H_eff are nearly parallel, as at an exceptional point. It is the only
+  user of scipy (``scipy.linalg.schur``), which it imports on first use, so
+  work on networks below ``_SCHUR_MIN_SITES`` sites never imports scipy.
 
 A chunk's largest array takes at most about 1 MiB, so memory stays bounded
 on long grids and large networks. A point's value does not depend on the
@@ -52,7 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .model import (
     LOSS_CHANNELS,
@@ -204,6 +205,8 @@ def _schur_resolvent(H, w):
     H = Z T Z^H with T upper triangular, so (E - H)^-1 w = Z (E - T)^-1 Z^H w.
     A zero diagonal of E - T, an exact pole, gives a non-finite row.
     """
+    from scipy import linalg  # here, so that only this route pays its import
+
     T, Z = linalg.schur(H, output="complex")
     b = Z.conj().T @ w
     lam = np.diag(T)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .model import (
     LossBreakdown, SiteNetwork, WaveguideCoupling, rebuild_port_losses, site_number,
@@ -154,14 +153,63 @@ class Extremum(NamedTuple):
     kind: str
 
 
+def _walk_mins(values):
+    """For each value, the minimum of it and of the values before it, back to
+    the nearest one that is not <= it (or the start): the base that a walk
+    out of a peak reaches on that side. One pass with a stack, O(len)."""
+    stack = []  # (value, minimum since the entry below); values decrease upwards
+    out = []
+    for v in values:
+        low = v
+        while stack and stack[-1][0] <= v:
+            low = min(low, stack.pop()[1])
+        stack.append((v, low))
+        out.append(low)
+    return out
+
+
+def _prominent_peaks(x, prominence):
+    """Indices of the peaks of a NaN-free array x with at least the given prominence.
+
+    The same indices as ``scipy.signal.find_peaks(x, prominence=prominence)[0]``;
+    find_extrema states the rules.
+    """
+    edge = np.flatnonzero(x[1:] != x[:-1]) + 1
+    first = np.concatenate(([0], edge))  # the runs of equal samples
+    if first.size < 3:
+        return np.empty(0, dtype=np.intp)
+    last = np.concatenate((edge, [x.size])) - 1
+    runs = x[first]
+    rise = runs[1:] > runs[:-1]
+    peak = np.concatenate(([False], rise[:-1] & ~rise[1:], [False]))
+    # Between two turning runs the samples are monotone, so a walk out of a
+    # peak finds its minimum, and its first higher sample, by turning runs.
+    turn = np.flatnonzero(np.concatenate(([True], rise[:-1] != rise[1:], [True])))
+    values = runs[turn].tolist()  # Python floats: an overflowing difference is inf, unwarned
+    left, right = _walk_mins(values), _walk_mins(values[::-1])[::-1]
+    kept = turn[[k for k, is_peak in enumerate(peak[turn].tolist())
+                 if is_peak and values[k] - max(left[k], right[k]) >= prominence]]
+    return (first[kept] + last[kept]) // 2
+
+
 def find_extrema(spec: Spectrum, prominence: float = DEFAULT_PROMINENCE):
-    """Interior dips and peaks of T with at least the given prominence."""
+    """Interior dips and peaks of T with at least the given prominence.
+
+    The rules are those of ``scipy.signal.find_peaks``, applied to T for peaks
+    and to -T for dips. A local maximum is a run of equal samples with a
+    strictly lower sample on each side, so the first and last runs never
+    count; its index is the middle of the run, ``(first + last) // 2``. Its
+    prominence is its height less the higher of two bases, each the minimum
+    of the samples from the peak outwards up to the first sample that is not
+    <= the peak (or the end of the spectrum). A peak is kept when its
+    prominence is >= ``prominence``.
+    """
     if not (math.isfinite(prominence) and prominence > 0):
         raise ValueError(f"prominence must be finite and > 0, got {prominence!r}")
     energies = spec.energies
     out = []
-    dip_idx, _ = find_peaks(-spec.T, prominence=prominence)
-    peak_idx, _ = find_peaks(spec.T, prominence=prominence)
+    dip_idx = _prominent_peaks(-spec.T, prominence)
+    peak_idx = _prominent_peaks(spec.T, prominence)
     for i in dip_idx:
         out.append(Extremum(float(energies[i]), float(spec.T[i]), "dip"))
     for i in peak_idx:

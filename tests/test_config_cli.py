@@ -1,12 +1,15 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import excitonprobe
 from excitonprobe.cli import main
 from excitonprobe.config import ConfigError, RunConfig, build_setup, parse_config
 from excitonprobe.csvio import CSV_HEADER, FANO_CSV_HEADER, read_spectrum_csv
@@ -666,3 +669,58 @@ class TestCliFano:
                      "--window", "abc")
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+# Runs the CLI commands given as JSON in argv[1] in one fresh interpreter:
+# the 7-site ones must not import scipy, the 16-site one (Schur route) must.
+SCIPY_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import excitonprobe
+from excitonprobe.cli import main
+
+assert not scipy_modules(), scipy_modules()[:5]
+seven_site, sixteen_site = json.loads(sys.argv[1])
+for argv in seven_site:
+    assert main(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules()[:5])
+assert main(sixteen_site) == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+class TestImports:
+    def test_seven_site_commands_never_import_scipy(self, tmp_path):
+        out = tmp_path / "out"
+        grid = {"e_min": -171.0, "e_max": 893.0, "n_points": 401}
+        seven = write_config(tmp_path, output_dir=str(out), grid=grid,
+                             scenarios=[{"type": "remove_site", "site": 5}],
+                             fit_windows=[[520.0, 620.0]])
+        chain = [[i, i + 1, 20.0] for i in range(1, 16)]
+        write_network_file(tmp_path, {
+            "reference_energy_cm1": 0.0,
+            "labels": [f"site {i}" for i in range(1, 17)],
+            "epsilon_cm1": [10.0 * i for i in range(16)],
+            "coupling_upper_triangle_cm1": chain,
+        }, name="chain16.json")
+        sixteen = write_config(tmp_path, name="chain16-run.json", network="file",
+                               network_file="chain16.json", output_dir=str(tmp_path / "out16"),
+                               grid={"e_min": -100.0, "e_max": 250.0, "n_points": 51})
+        commands = [
+            [["spectrum", "--config", seven, "--svg"],
+             ["scenario", "--config", seven],
+             ["diff", "--base", str(out / "baseline.csv"), "--mod", str(out / "remove-site-5.csv")],
+             ["fano", "--spectrum", str(out / "baseline.csv"), "--config", seven]],
+            ["spectrum", "--config", sixteen],
+        ]
+        src = str(Path(excitonprobe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", SCIPY_PROBE, json.dumps(commands)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out16" / "baseline.csv").exists()

@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 import conftest
 from randnets import single_emitter
@@ -233,6 +236,36 @@ class TestFindExtrema:
         for ea, eb in zip(a, b):
             assert eb.energy - ea.energy == pytest.approx(shift, abs=1e-9)
             assert eb.kind == ea.kind
+
+
+# Float arrays of any magnitude, and integer-valued ones, which have plateaus
+# and ties; integer prominences test the >= at a tie.
+PEAK_SAMPLES = st.one_of(
+    st.lists(st.floats(allow_nan=False), max_size=200),
+    st.lists(st.integers(-3, 3).map(float), max_size=200),
+)
+PEAK_PROMINENCE = st.one_of(st.floats(1e-12, 2.0), st.sampled_from([1.0, 2.0]))
+
+
+class TestProminentPeaks:
+    """scenarios._prominent_peaks against scipy.signal.find_peaks, its reference."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(values=PEAK_SAMPLES, prominence=PEAK_PROMINENCE)
+    def test_equals_scipy_on_random_arrays(self, values, prominence):
+        x = np.array(values, dtype=float)
+        assert np.array_equal(scenarios._prominent_peaks(x, prominence),
+                              find_peaks(x, prominence=prominence)[0])
+
+    @pytest.mark.parametrize("n_points", [2001, 120001])
+    def test_equals_scipy_on_preset_baseline(self, preset, n_points):
+        net, wg = preset
+        grid = default_grid(net, n_points=n_points)
+        T = sweep_spectrum(net, wg, grid).T
+        for x in (T, -T):
+            for prominence in (1e-12, scenarios.DEFAULT_PROMINENCE, 0.1):
+                expected = find_peaks(x, prominence=prominence)[0]
+                assert np.array_equal(scenarios._prominent_peaks(x, prominence), expected)
 
 
 class TestSpectralDifference:
