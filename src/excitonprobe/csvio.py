@@ -34,7 +34,8 @@ def _site_pairs(raw: str):
 
 
 # Metadata keys, in the fixed order they are written when present, each with
-# the type it is read back as. Keys not listed here read back as str.
+# the type it is read back as. Keys not listed here are written after them,
+# sorted by name, and read back as str.
 _META_TYPES = {
     "solver": str,
     "network_hash": str,
@@ -46,20 +47,19 @@ _META_TYPES = {
 
 
 def _fmt_meta(value):
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ";".join(f"{s}:{g!r}" for s, g in value)
     if isinstance(value, dict):
-        return ";".join(f"{k}:{v!r}" for k, v in sorted(value.items()))
+        value = tuple(sorted(value.items()))
+    if isinstance(value, tuple):
+        return ";".join(f"{s}:{_fmt_meta(g)}" for s, g in value)
+    if isinstance(value, float):
+        return repr(float(value))  # a numpy float's repr names its type
     return str(value)
 
 
 def write_spectrum_csv(path, spec: Spectrum):
-    lines = []
-    for key in _META_TYPES:
-        if key in spec.metadata:
-            lines.append(f"# {key} = {_fmt_meta(spec.metadata[key])}")
+    keys = [key for key in _META_TYPES if key in spec.metadata]
+    keys += sorted(key for key in spec.metadata if key not in _META_TYPES)
+    lines = [f"# {key} = {_fmt_meta(spec.metadata[key])}" for key in keys]
     lines.append(CSV_HEADER)
     data = np.column_stack((spec.energies, spec.T, spec.R, spec.A_total,
                             *(spec.A_channels[name] for name in _CSV_CHANNELS)))

@@ -12,7 +12,7 @@ rejected step, factor 10 down on an accepted one, starting at 1e-3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,9 +41,7 @@ class FanoFit:
         return np.array([self.q, self.e_res, self.gamma_w, self.t_bg])
 
     def as_dict(self) -> dict:
-        return {"q": self.q, "e_res": self.e_res, "gamma_w": self.gamma_w,
-                "t_bg": self.t_bg, "residual": self.residual,
-                "converged": self.converged, "iterations": self.iterations}
+        return asdict(self)
 
 
 def fano_profile(energies, q, e_res, gamma_w, t_bg):
@@ -139,35 +137,31 @@ def fit_fano_window(energies, values, init=None,
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
-        grad = 2.0 * (J.T @ r)
-        if np.linalg.norm(grad) < GRADIENT_TOL:
+        half_grad = J.T @ r
+        if np.linalg.norm(2.0 * half_grad) < GRADIENT_TOL:
             converged = True
             break
         A = J.T @ J
         diag = np.maximum(np.diag(A), 1e-12)
         try:
-            step = np.linalg.solve(A + damping * np.diag(diag), -J.T @ r)
+            step = np.linalg.solve(A + damping * np.diag(diag), -half_grad)
         except np.linalg.LinAlgError:
-            damping *= 10.0
-            continue
-        trial = params + step
-        if not _in_bounds(trial):
-            damping *= 10.0
-            if damping > 1e12:
-                break
-            continue
-        r_trial, J_trial = _residual_jacobian(trial, energies, values)
-        cost_trial = float(r_trial @ r_trial)
-        if cost_trial <= cost:
-            params, r, J, cost = trial, r_trial, J_trial, cost_trial
-            damping = max(damping / 10.0, 1e-12)
-            if np.linalg.norm(step) < STEP_TOL:
-                converged = True
-                break
-        else:
-            damping *= 10.0
-            if damping > 1e12:
-                break
+            step = None
+        trial = None if step is None else params + step
+        if trial is not None and _in_bounds(trial):
+            r_trial, J_trial = _residual_jacobian(trial, energies, values)
+            cost_trial = float(r_trial @ r_trial)
+            if cost_trial <= cost:
+                params, r, J, cost = trial, r_trial, J_trial, cost_trial
+                damping = max(damping / 10.0, 1e-12)
+                if np.linalg.norm(step) < STEP_TOL:
+                    converged = True
+                    break
+                continue
+        # rejected: a singular solve, a step out of bounds or a rise in cost
+        damping *= 10.0
+        if damping > 1e12:
+            break
 
     return result(params, converged, iterations)
 

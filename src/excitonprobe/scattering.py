@@ -10,8 +10,8 @@ the diagonal, so the effective network Hamiltonian is
 Two independent routes solve the same scattering problem:
 
 * ``closed_form`` resolves the photon amplitudes analytically and is left
-  with one N x N linear system. With w the port-amplitude vector and
-  y = (E - H_eff)^{-1} w obtained by a dense solve,
+  with one N x N linear system per energy. With w the port-amplitude vector
+  and y = (E - H_eff)^{-1} w (by LU or from a Schur form of H_eff, below),
 
       t = 1 / (1 + (i/v_g) w.y),   r = t - 1,   xi = t*y.
 
@@ -147,12 +147,14 @@ def effective_hamiltonian(net: SiteNetwork) -> np.ndarray:
     return H
 
 
-def _check_ports(net: SiteNetwork, wg: WaveguideCoupling):
+def _port_vector(net: SiteNetwork, wg: WaveguideCoupling) -> np.ndarray:
+    """The port amplitudes w over net's sites; NetworkValidationError if net lacks a port site."""
     bad = [s for s, _ in wg.ports if not 1 <= s <= net.n_sites]
     if bad:
         raise NetworkValidationError(
             [f"port site {s} out of range 1..{net.n_sites}" for s in bad]
         )
+    return wg.amplitude_vector(net.n_sites)
 
 
 # Bytes one chunk's largest array may take: the stacked matrices of the LU
@@ -229,8 +231,7 @@ def _closed_form_kernel(net: SiteNetwork, wg: WaveguideCoupling):
     returns the rows t, r and xi; the bytes per point set the chunk.
     """
     H = effective_hamiltonian(net)
-    _check_ports(net, wg)
-    w = wg.amplitude_vector(net.n_sites)
+    w = _port_vector(net, wg)
     route = _schur_resolvent if net.n_sites >= _SCHUR_MIN_SITES else _lu_resolvent
     resolvent, point_bytes = route(H, w)
 
@@ -254,11 +255,10 @@ def _direct_kernel(net: SiteNetwork, wg: WaveguideCoupling):
     violations = validate_network(net)
     if violations:
         raise NetworkValidationError(violations)
-    _check_ports(net, wg)
+    w = _port_vector(net, wg)
 
     n = net.n_sites
     v_g = wg.v_g
-    w = wg.amplitude_vector(n)
 
     M = np.zeros((n + 2, n + 2), dtype=complex)
     b = np.zeros(n + 2, dtype=complex)
@@ -337,7 +337,7 @@ def _solve_point(net: SiteNetwork, wg: WaveguideCoupling, energy, solver: str):
 
 
 def solve_closed_form(net: SiteNetwork, wg: WaveguideCoupling, energy: float) -> ScatteringSolution:
-    """Green's-function route: one dense N x N solve, then the closed form.
+    """Green's-function route: y = (E - H_eff)^-1 w, then the closed form.
 
     From _SCHUR_MIN_SITES sites up, each call factors H_eff afresh (Schur
     route), which costs far more than one solve: at N = 200 about 60 ms per

@@ -10,7 +10,7 @@ in the emitted CSVs but not scored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -89,9 +89,11 @@ SCENARIO_TYPES = {
 }
 
 
-def _check_site(net: SiteNetwork, site: int):
+def _site_index(net: SiteNetwork, site: int) -> int:
+    """0-based index of a 1-based site number; ScenarioError if net lacks the site."""
     if not 1 <= site <= net.n_sites:
         raise ScenarioError(f"site {site} out of range 1..{net.n_sites}")
+    return site - 1
 
 
 def apply_defect(net: SiteNetwork, wg: WaveguideCoupling, scenario):
@@ -103,25 +105,22 @@ def apply_defect(net: SiteNetwork, wg: WaveguideCoupling, scenario):
     Ohmic fraction.
     """
     if isinstance(scenario, InhibitCoupling):
-        _check_site(net, scenario.site_a)
-        _check_site(net, scenario.site_b)
-        if scenario.site_a == scenario.site_b:
+        i = _site_index(net, scenario.site_a)
+        j = _site_index(net, scenario.site_b)
+        if i == j:
             raise ScenarioError(f"cannot inhibit a site's coupling to itself (site {scenario.site_a})")
-        i = net.site_index(scenario.site_a)
-        j = net.site_index(scenario.site_b)
         J = np.array(net.coupling, dtype=float)
         J[i, j] = 0.0
         J[j, i] = 0.0
         return replace(net, coupling=J), wg
 
     if isinstance(scenario, RemoveSite):
-        _check_site(net, scenario.site)
+        k = _site_index(net, scenario.site)
         port_sites = [s for s, _ in wg.ports]
         if scenario.site in port_sites:
             raise ScenarioError(
                 f"cannot remove probed site {scenario.site} (ports are {sorted(port_sites)})"
             )
-        k = net.site_index(scenario.site)
         keep = [i for i in range(net.n_sites) if i != k]
         breakdown = LossBreakdown(
             **{name: arr[keep] for name, arr in net.loss_breakdown.as_dict().items()}
@@ -140,7 +139,7 @@ def apply_defect(net: SiteNetwork, wg: WaveguideCoupling, scenario):
 
     if isinstance(scenario, SetPortAmplitudes):
         for s, _ in scenario.ports:
-            _check_site(net, s)
+            _site_index(net, s)
         new_wg = replace(wg, ports=scenario.ports)
         return rebuild_port_losses(net, wg, new_wg), new_wg
 
@@ -232,8 +231,7 @@ class SpectralDiff:
     extrema_delta: int
 
     def as_dict(self):
-        return {"l2": self.l2, "l_inf": self.l_inf, "area": self.area,
-                "extrema_delta": self.extrema_delta}
+        return asdict(self)
 
 
 def _distances(base: Spectrum, mod: Spectrum):
@@ -261,7 +259,7 @@ def _spectrum_entry(label: str, spec: Spectrum, prominence: float) -> dict:
     return {
         "label": label,
         "dip_count": sum(1 for e in extrema if e.kind == "dip"),
-        "extrema": [{"energy": e.energy, "T": e.T, "kind": e.kind} for e in extrema],
+        "extrema": [e._asdict() for e in extrema],
     }
 
 
@@ -306,6 +304,5 @@ def run_scenario_suite(net: SiteNetwork, wg: WaveguideCoupling, grid,
         "scenarios": entries,
         "metadata": dict(base_spec.metadata,
                          prominence=prominence,
-                         grid={"e_min": grid.e_min, "e_max": grid.e_max,
-                               "n_points": grid.n_points}),
+                         grid=asdict(grid)),
     }

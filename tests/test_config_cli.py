@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -173,6 +174,19 @@ class TestParseConfig:
         assert len(cfg.scenarios) == 3
         assert cfg.fit_windows == ((520.0, 620.0),)
         assert {type(s) for s in cfg.scenarios} == set(SCENARIO_TYPES.values())
+
+    def test_readme_python_quick_start_runs(self, tmp_path):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        src = str(Path(excitonprobe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", blocks[0]],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "7"
+        assert list(ast.literal_eval(lines[1])) == ["l2", "l_inf", "area", "extrema_delta"]
 
     def test_port_probe_defaults_to_run_ohmic_fraction(self, tmp_path):
         # Re-applying the baseline ports at the run's own fraction must be a null probe.

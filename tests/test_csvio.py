@@ -77,6 +77,26 @@ class TestRoundTrip:
         path.write_text("# g1 = 10.0\n" + Path(csv_path).read_text())
         assert read_spectrum_csv(str(path)).metadata["g1"] == "10.0"
 
+    def test_unknown_metadata_keys_survive_a_rewrite(self, csv_path, tmp_path):
+        path = tmp_path / "note.csv"
+        path.write_text("# note = hello\n# alpha = 1\n" + Path(csv_path).read_text())
+        again = tmp_path / "again.csv"
+        write_spectrum_csv(str(again), read_spectrum_csv(str(path)))
+        # after the known keys, in name order
+        assert "# port_widths = 1:200.0;6:200.0\n# alpha = 1\n# note = hello\n" + CSV_HEADER \
+            in again.read_text()
+        assert read_spectrum_csv(str(again)).metadata["note"] == "hello"
+
+    def test_numpy_float_metadata_round_trips(self, baseline_spectrum, tmp_path):
+        md = baseline_spectrum.metadata
+        spec = dataclasses.replace(baseline_spectrum, metadata=dict(
+            md, v_g=np.float64(md["v_g"]),
+            ports=tuple((s, np.float64(g)) for s, g in md["ports"]),
+            port_widths={s: np.float64(w) for s, w in md["port_widths"].items()}))
+        path = str(tmp_path / "np.csv")
+        write_spectrum_csv(path, spec)
+        assert read_spectrum_csv(path).metadata == md
+
     def test_numpy_float_reference_energy_round_trips(self, preset, preset_grid, tmp_path):
         net, wg = preset
         net = dataclasses.replace(net, reference_energy=np.float64(12000.0))

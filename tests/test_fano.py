@@ -3,6 +3,7 @@ import pytest
 
 from excitonprobe.fano import (
     MIN_WINDOW_POINTS,
+    T_BG_BOUNDS,
     FanoFit,
     fano_gradient,
     fano_profile,
@@ -140,6 +141,13 @@ class TestIterationDiscipline:
         energies, values = synth()
         fit = fit_fano_window(energies, values)
         assert 0.0 <= fit.t_bg <= 1.5
+
+    def test_damping_cap_ends_a_fit_held_at_the_background_bound(self):
+        # the data's background, 1.8, lies above T_BG_BOUNDS[1]: the seed sits
+        # on the bound and every step leaves it, until the damping passes 1e12
+        energies = np.linspace(-40.0, 40.0, 161)
+        fit = fit_fano_window(energies, 2.0 * fano_profile(energies, 1.0, 0.0, 10.0, 0.9))
+        assert (fit.iterations, fit.converged, fit.t_bg) == (16, False, T_BG_BOUNDS[1])
 
     def test_iterations_reported(self):
         energies, values = synth()
