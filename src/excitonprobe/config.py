@@ -98,6 +98,8 @@ class RunConfig:
             raise ValueError("config key 'output_dir' must be a non-empty string")
         if not isinstance(self.emit_svg, bool):
             raise ValueError("config key 'emit_svg' must be true or false")
+        if self.grid is not None and not isinstance(self.grid, ProbeGrid):
+            raise ValueError(f"config key 'grid' must be a ProbeGrid, got {self.grid!r}")
 
         if not isinstance(self.scenarios, (list, tuple)):
             raise ValueError("config key 'scenarios' must be a list")
@@ -106,6 +108,10 @@ class RunConfig:
         separators = {"/", os.sep, os.altsep} - {None}
         first = {}
         for i, scenario in enumerate(self.scenarios):
+            if not isinstance(scenario, tuple(SCENARIO_TYPES.values())):
+                raise ValueError(f"scenario {i} must be one of "
+                                 f"{[cls.__name__ for cls in SCENARIO_TYPES.values()]}, "
+                                 f"got {scenario!r}")
             if scenario.label == "baseline":
                 raise ValueError(f"scenario {i}: label 'baseline' is reserved for the baseline")
             if any(sep in scenario.label for sep in separators):

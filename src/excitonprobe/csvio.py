@@ -24,7 +24,9 @@ CSV_HEADER = ",".join(_CSV_COLUMNS)
 _CSV_ROW = ",".join(["%.12e"] * len(_CSV_COLUMNS)) + "\n"
 _CSV_BLOCK_ROWS = 4096
 
-FANO_CSV_HEADER = "label,q,e_res,gamma_w,t_bg,residual,converged"
+# The FanoFit fields a Fano table row writes as floats, between its label and converged.
+_FANO_FLOATS = ("q", "e_res", "gamma_w", "t_bg", "residual")
+FANO_CSV_HEADER = ",".join(("label", *_FANO_FLOATS, "converged"))
 
 
 def _site_pairs(raw: str):
@@ -183,10 +185,8 @@ def format_fano_table(rows) -> str:
     """Fano table text: the header, then one line per (label, FanoFit) pair."""
     lines = [FANO_CSV_HEADER]
     for label, fit in rows:
-        lines.append(
-            f"{label},{fit.q:.12e},{fit.e_res:.12e},{fit.gamma_w:.12e},"
-            f"{fit.t_bg:.12e},{fit.residual:.12e},{str(fit.converged).lower()}"
-        )
+        values = ",".join(f"{getattr(fit, name):.12e}" for name in _FANO_FLOATS)
+        lines.append(f"{label},{values},{str(fit.converged).lower()}")
     return "\n".join(lines) + "\n"
 
 

@@ -103,8 +103,9 @@ def fit_fano_window(energies, values, init=None,
     """Least-squares Fano fit on raw (energy, transmission) arrays.
 
     `init`, when given, is the seed (q, e_res, gamma_w, t_bg) and overrides
-    the built-in heuristic. Constant data cannot seed the heuristic and
-    comes back converged=False rather than raising.
+    the built-in heuristic; it must be finite and within the bounds every
+    step keeps (gamma_w > 0, t_bg in T_BG_BOUNDS). Constant data cannot seed
+    the heuristic and comes back converged=False rather than raising.
     """
     energies = np.asarray(energies, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -124,6 +125,9 @@ def fit_fano_window(energies, values, init=None,
         params = np.asarray(init, dtype=float).copy()
         if params.shape != (4,):
             raise ValueError("init must supply (q, e_res, gamma_w, t_bg)")
+        if not (np.isfinite(params).all() and _in_bounds(params)):
+            raise ValueError(f"init must be finite with gamma_w > 0 and t_bg in "
+                             f"{list(T_BG_BOUNDS)}, got {params.tolist()}")
     else:
         if np.ptp(values) < 1e-14:
             # flat window: nothing to locate a resonance with

@@ -194,6 +194,7 @@ class ProbeGrid:
             object.__setattr__(self, name, _real_number(getattr(self, name), name))
         if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):
             raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
+        object.__setattr__(self, "n_points", int(self.n_points))
         if self.n_points < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.n_points}")
         if not self.e_min < self.e_max:

@@ -169,16 +169,18 @@ _SCHUR_MIN_SITES = 16
 
 
 def _solve_rows(stack, rhs):
-    """Solve every system of the stack for rhs; all rows NaN if one is singular.
+    """Solve every system of the stack for rhs; a singular system gives a NaN row.
 
-    np.linalg.solve rejects the whole stack when one matrix is singular, so
-    every energy of that stack comes back as a pole. rhs goes in as a column,
-    the form numpy 1.x also broadcasts over a stack.
+    np.linalg.solve rejects the whole stack when one matrix is singular; the
+    stack is then solved one system at a time, so only singular rows are
+    poles. rhs goes in as a column, the form numpy 1.x also broadcasts over a stack.
     """
     try:
         return np.linalg.solve(stack, rhs[:, None])[..., 0]
     except np.linalg.LinAlgError:
-        return np.full(stack.shape[:-1], np.nan, dtype=complex)
+        if len(stack) == 1:
+            return np.full(stack.shape[:-1], np.nan, dtype=complex)
+        return np.concatenate([_solve_rows(matrix[None], rhs) for matrix in stack])
 
 
 def _dot_rows(a, rows):
@@ -294,8 +296,8 @@ _KERNELS = {"closed_form": _closed_form_kernel, "direct": _direct_kernel}
 def _solve_stack(amplitudes, energies):
     """(t, r, xi, pole): amplitude rows at each energy and a mask of its poles.
 
-    A pole is an energy whose amplitudes are not finite, which includes every
-    energy of a stack that holds a singular system.
+    A pole is an energy whose amplitudes are not finite, which includes each
+    energy whose system is singular.
     """
     with np.errstate(all="ignore"):
         t, r, xi = amplitudes(energies)
@@ -399,16 +401,12 @@ def sweep_spectrum(net: SiteNetwork, wg: WaveguideCoupling, grid: ProbeGrid,
     for start in range(0, grid.n_points, chunk):
         rows = slice(start, start + chunk)
         t, r, xi, pole = _solve_stack(amplitudes, energies[rows])
-        for i in np.flatnonzero(pole):
-            energy = energies[start + i]
-            # alone first: a singular matrix marks every row of its stack
-            for retry in (energy, energy + POLE_NUDGE * grid.spacing):
-                ti, ri, xii, still = _solve_stack(amplitudes, np.array([retry]))
-                if not still[0]:
-                    break
-            else:
-                raise PoleError(energy, grid_index=start + i)
-            t[i], r[i], xi[i] = ti[0], ri[0], xii[0]
+        if pole.any():
+            nudged = energies[rows][pole] + POLE_NUDGE * grid.spacing
+            t[pole], r[pole], xi[pole], still = _solve_stack(amplitudes, nudged)
+            if still.any():
+                i = start + np.flatnonzero(pole)[still][0]
+                raise PoleError(energies[i], grid_index=i)
         T[rows], R[rows], per_site, per_channel = _flux(net, wg.v_g, t, r, xi)
         A_total[rows] = np.sum(per_site, axis=1)
         for name in LOSS_CHANNELS:

@@ -206,15 +206,11 @@ def find_extrema(spec: Spectrum, prominence: float = DEFAULT_PROMINENCE):
     if not (math.isfinite(prominence) and prominence > 0):
         raise ValueError(f"prominence must be finite and > 0, got {prominence!r}")
     energies = spec.energies
-    out = []
-    dip_idx = _prominent_peaks(-spec.T, prominence)
-    peak_idx = _prominent_peaks(spec.T, prominence)
-    for i in dip_idx:
-        out.append(Extremum(float(energies[i]), float(spec.T[i]), "dip"))
-    for i in peak_idx:
-        out.append(Extremum(float(energies[i]), float(spec.T[i]), "peak"))
-    out.sort(key=lambda e: e.energy)
-    return out
+    # dips first: the stable sort keeps a dip before a peak at the same energy
+    out = [Extremum(float(energies[i]), float(spec.T[i]), kind)
+           for kind, values in (("dip", -spec.T), ("peak", spec.T))
+           for i in _prominent_peaks(values, prominence)]
+    return sorted(out, key=lambda e: e.energy)
 
 
 def dip_count(spec: Spectrum, prominence: float = DEFAULT_PROMINENCE) -> int:

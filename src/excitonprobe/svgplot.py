@@ -24,13 +24,13 @@ MARGIN_BOTTOM = 60
 # shared by each curve's polyline and its legend line.
 BASE_STROKE = 'stroke="#000000" stroke-width="1.6"'
 DEFECT_STROKE = 'stroke="#cc2222" stroke-width="1.6" stroke-dasharray="8 5"'
+# Stroke of the axes box and the tick marks.
+_AXIS_STROKE = 'stroke="#333333" stroke-width="1"'
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6):
     """Round tick positions covering [lo, hi], at most ~target of them."""
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / max(target - 1, 1)
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -48,6 +48,25 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}".rstrip("0").rstrip(".")
+
+
+def _coord(value) -> str:
+    """An SVG coordinate: a float to two decimals, an int as it is."""
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
+
+
+def _line(x1, y1, x2, y2, stroke=_AXIS_STROKE) -> str:
+    return (f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" x2="{_coord(x2)}" '
+            f'y2="{_coord(y2)}" {stroke}/>')
+
+
+def _text(x, y, size, body, anchor=None, rotate=False) -> str:
+    """Sans-serif text at (x, y); rotate turns it a quarter turn left about (x, y)."""
+    x, y = _coord(x), _coord(y)
+    attrs = f'x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"'
+    attrs += f' text-anchor="{anchor}"' if anchor else ""
+    attrs += f' transform="rotate(-90 {x} {y})"' if rotate else ""
+    return f"<text {attrs}>{body}</text>"
 
 
 def render_overlay(base_spec, defect_spec=None, defect_label: str = "defect",
@@ -75,39 +94,25 @@ def render_overlay(base_spec, defect_spec=None, defect_label: str = "defect",
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.2f}" y="28" font-family="sans-serif" font-size="18" '
-            f'text-anchor="middle">{escape(title)}</text>'
-        )
+        parts.append(_text(WIDTH / 2, 28, 18, escape(title), anchor="middle"))
 
     # axes box
     parts.append(
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#333333" stroke-width="1"/>'
+        f'fill="none" {_AXIS_STROKE}/>'
     )
     for e in _nice_ticks(e_lo, e_hi):
-        x = sx(e)
-        parts.append(f'<line x1="{x:.2f}" y1="{sy(t_lo):.2f}" x2="{x:.2f}" '
-                     f'y2="{sy(t_lo) + 6:.2f}" stroke="#333333" stroke-width="1"/>')
-        parts.append(f'<text x="{x:.2f}" y="{sy(t_lo) + 22:.2f}" font-family="sans-serif" '
-                     f'font-size="13" text-anchor="middle">{_fmt(e)}</text>')
+        x, y = sx(e), sy(t_lo)
+        parts += [_line(x, y, x, y + 6), _text(x, y + 22, 13, _fmt(e), anchor="middle")]
     for t in _nice_ticks(t_lo, t_hi, target=5):
         y = sy(t)
-        parts.append(f'<line x1="{MARGIN_LEFT - 6}" y1="{y:.2f}" x2="{MARGIN_LEFT}" '
-                     f'y2="{y:.2f}" stroke="#333333" stroke-width="1"/>')
-        parts.append(f'<text x="{MARGIN_LEFT - 10}" y="{y + 4:.2f}" font-family="sans-serif" '
-                     f'font-size="13" text-anchor="end">{_fmt(t)}</text>')
+        parts += [_line(MARGIN_LEFT - 6, y, MARGIN_LEFT, y),
+                  _text(MARGIN_LEFT - 10, y + 4, 13, _fmt(t), anchor="end")]
 
-    parts.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2:.2f}" y="{HEIGHT - 14}" '
-        f'font-family="sans-serif" font-size="15" text-anchor="middle">'
-        f'probe energy (cm^-1)</text>'
-    )
-    parts.append(
-        f'<text x="22" y="{MARGIN_TOP + plot_h / 2:.2f}" font-family="sans-serif" '
-        f'font-size="15" text-anchor="middle" '
-        f'transform="rotate(-90 22 {MARGIN_TOP + plot_h / 2:.2f})">transmission</text>'
-    )
+    parts += [_text(MARGIN_LEFT + plot_w / 2, HEIGHT - 14, 15, "probe energy (cm^-1)",
+                    anchor="middle"),
+              _text(22, MARGIN_TOP + plot_h / 2, 15, "transmission", anchor="middle",
+                    rotate=True)]
 
     # Each curve's polyline, then its legend entry top-right inside the plot box.
     lx = MARGIN_LEFT + plot_w - 250
@@ -118,9 +123,7 @@ def render_overlay(base_spec, defect_spec=None, defect_label: str = "defect",
         points = "".join(format_rows(" %.2f,%.2f", xy))[1:]
         parts.append(f'<polyline fill="none" {stroke} points="{points}"/>')
         ly = MARGIN_TOP + 16 + 20 * i
-        legend.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 40}" y2="{ly}" {stroke}/>')
-        legend.append(f'<text x="{lx + 48}" y="{ly + 4}" font-family="sans-serif" '
-                      f'font-size="13">{escape(label)}</text>')
+        legend += [_line(lx, ly, lx + 40, ly, stroke), _text(lx + 48, ly + 4, 13, escape(label))]
 
     parts.extend(legend)
     parts.append("</svg>")

@@ -103,6 +103,42 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="fit window 0 is empty"):
             RunConfig(fit_windows=((700, 700),))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"fit_windows": [[1.0]]}, "fit window 0 must be a [lo, hi] pair of numbers, got [1.0]"),
+        ({"fit_windows": "0,1"}, "config key 'fit_windows' must be a list of [lo, hi] pairs"),
+        ({"network": "custom"}, "config key 'network' must be 'preset' or 'file', got 'custom'"),
+        ({"network": "file"}, "network 'file' requires key 'network_file'"),
+        ({"network_file": "net.json"}, "key 'network_file' requires network = 'file'"),
+        ({"network": "file", "network_file": ""},
+         "config key 'network_file' must be a non-empty string, got ''"),
+        ({"output_dir": ""}, "config key 'output_dir' must be a non-empty string"),
+        ({"emit_svg": "yes"}, "config key 'emit_svg' must be true or false"),
+        ({"scenarios": "remove_site"}, "config key 'scenarios' must be a list"),
+        ({"grid": {"e_min": 0.0, "e_max": 1.0}},
+         "config key 'grid' must be a ProbeGrid, got {'e_min': 0.0, 'e_max': 1.0}"),
+        ({"scenarios": [RemoveSite(5), {"type": "remove_site", "site": 5}]},
+         "scenario 1 must be one of ['InhibitCoupling', 'RemoveSite', 'SetPortAmplitudes'], "
+         "got {'type': 'remove_site', 'site': 5}"),
+    ])
+    def test_run_config_messages(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            RunConfig(**kwargs)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config {path!r}: [Errno 2] No such file or directory: {path!r}"),
+        ("[]", "{path}: top level must be a JSON object"),
+        ('{"grid": "x"}', "grid must be an object, got str"),
+        ('{"grid": {"e_max": 1.0}}', "grid: missing key 'e_min'"),
+    ])
+    def test_config_file_messages(self, tmp_path, text, message):
+        path = tmp_path / "run.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            parse_config(str(path))
+        assert str(err.value) == message.format(path=str(path))
+
     def test_nonpositive_prominence_rejected(self, tmp_path):
         path = write_config(tmp_path, prominence=0.0)
         with pytest.raises(ConfigError, match="prominence"):
@@ -674,6 +710,13 @@ class TestCliFano:
         captured = capsys.readouterr()
         assert captured.err == f"error: window ends must be finite; got {window!r}\n"
         assert captured.out == ""
+
+    def test_empty_window_is_an_error(self, spectrum_setup, capsys):
+        cfg, out = spectrum_setup
+        run_cli("spectrum", "--config", cfg)
+        capsys.readouterr()
+        assert run_cli("fano", "--spectrum", str(out / "baseline.csv"), "--window", "5,5") == 1
+        assert capsys.readouterr().err == "error: empty window '5,5'\n"
 
     def test_malformed_window_is_an_error(self, spectrum_setup, capsys):
         cfg, out = spectrum_setup

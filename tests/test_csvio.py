@@ -245,6 +245,18 @@ class TestReaderValidation:
         with pytest.raises(ValueError, match="expected header"):
             read_spectrum_csv(str(p))
 
+    @pytest.mark.parametrize("text, message", [
+        # a blank line before the header counts towards the line numbers
+        ("\n" + CSV_HEADER + "\n1,2,3\n", "{path}:3: expected 7 columns, got 3"),
+        ("# solver = direct\n\n", "{path}: missing header line " + repr(CSV_HEADER)),
+    ])
+    def test_preamble_messages(self, tmp_path, text, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_spectrum_csv(str(p))
+        assert str(err.value) == message.format(path=p)
+
     def test_wrong_column_count_names_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text(CSV_HEADER + "\n1,2,3\n")

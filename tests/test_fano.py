@@ -172,6 +172,21 @@ class TestDegenerateInputs:
         with pytest.raises(ValueError, match="init"):
             fit_fano_window(energies, values, init=np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("init", [
+        [np.nan, 0.0, 10.0, 0.5],   # not finite
+        [1.0, 0.0, 0.0, 0.5],       # zero width: the model divides by gamma_w
+        [1.0, 0.0, -5.0, 0.5],      # negative width
+        [1.0, 0.0, 10.0, -0.1],     # t_bg below T_BG_BOUNDS
+    ])
+    def test_seed_outside_the_step_bounds_rejected(self, init):
+        energies = np.linspace(-40.0, 40.0, 161)
+        values = fano_profile(energies, 1.0, 0.0, 10.0, 0.5)
+        message = (f"init must be finite with gamma_w > 0 and t_bg in {list(T_BG_BOUNDS)}, "
+                   f"got {init}")
+        with pytest.raises(ValueError) as err:
+            fit_fano_window(energies, values, init=init)
+        assert str(err.value) == message
+
 
 class TestSpectrumWindowing:
     def test_fit_fano_slices_the_window(self):

@@ -13,11 +13,13 @@ from excitonprobe.model import (
     LossBreakdown,
     PresetDataError,
     ProbeGrid,
+    SiteDataError,
     SiteNetwork,
     WaveguideCoupling,
     fmo_preset,
     induced_width,
     network_fingerprint,
+    network_from_site_data,
     rebuild_port_losses,
     validate_network,
 )
@@ -222,6 +224,10 @@ class TestProbeGrid:
         with pytest.raises(ValueError):
             ProbeGrid(5.0, 5.0, 10)
 
+    def test_numpy_integer_point_count_stored_as_int(self):
+        grid = ProbeGrid(0.0, 1.0, np.int64(11))
+        assert type(grid.n_points) is int and grid.n_points == 11
+
 
 class TestValidateNetwork:
     def test_clean_network_has_no_violations(self):
@@ -327,6 +333,22 @@ class TestValidateNetwork:
                           loss=arrays["loss"], loss_breakdown=bd)
         assert validate_network(bad) == loop_validate_network(bad)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"n_sites": 0, "epsilon": np.zeros(0), "coupling": np.zeros((0, 0)),
+          "loss": np.zeros(0), "loss_breakdown": LossBreakdown.zeros(0)},
+         "n_sites must be >= 1, got 0"),
+        ({"coupling": np.zeros((3, 2))}, "coupling shape (3, 2) inconsistent with n_sites 3"),
+        ({"loss": np.zeros(4)}, "loss shape (4,) inconsistent with n_sites 3"),
+        ({"loss_breakdown": LossBreakdown(np.zeros(3), np.zeros(2), np.zeros(3))},
+         "loss_breakdown[ohmic] shape (2,) inconsistent with n_sites 3"),
+        ({"labels": ("a", "b")}, "2 labels for 3 sites"),
+    ])
+    def test_size_messages(self, changes, message):
+        bd = LossBreakdown.zeros(3)
+        fields = dict(n_sites=3, epsilon=np.zeros(3), coupling=np.zeros((3, 3)),
+                      loss=bd.total(), loss_breakdown=bd)
+        assert validate_network(SiteNetwork(**{**fields, **changes})) == [message]
+
     def test_shape_mismatch_reported(self):
         bd = LossBreakdown.zeros(3)
         bad = SiteNetwork(
@@ -430,3 +452,18 @@ class TestRebuildPortLosses:
         new_wg = WaveguideCoupling(ports=((1, 1.0), (6, 1.0)), v_g=wg.v_g)
         rebuild_port_losses(net, wg, new_wg)
         assert np.array_equal(net.loss_breakdown.ohmic, before)
+
+
+class TestSiteData:
+    RATES = dict(g1=10.0, g6=10.0, gamma_dp=77.0, gamma_s=5.3,
+                 ohmic_fraction=OHMIC_FRACTION_DEFAULT, v_g=1.0)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"epsilon_cm1": [0.0] * 7}, "site data lacks key 'coupling_upper_triangle_cm1'"),
+        ({"epsilon_cm1": [0.0] * 6 + ["x"], "coupling_upper_triangle_cm1": []},
+         "key 'epsilon_cm1' must list one number per site (7 sites)"),
+    ])
+    def test_malformed_site_data_messages(self, data, message):
+        with pytest.raises(SiteDataError) as err:
+            network_from_site_data(data, **self.RATES)
+        assert str(err.value) == message

@@ -171,6 +171,15 @@ class TestPoleHandling:
         with pytest.raises(PoleError):
             solve_closed_form(net, wg, 0.0)
 
+    def test_singular_system_marks_only_its_own_row(self, rng):
+        stack = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        stack[2, :, 1] = 0.0  # a zero column: an exactly zero pivot
+        rhs = rng.normal(size=4).astype(complex)
+        got = scattering._solve_rows(stack, rhs)
+        assert np.isnan(got[2]).all()
+        for k in (0, 1, 3, 4, 5):
+            assert np.array_equal(got[k], np.linalg.solve(stack[k], rhs)), k
+
 
 class TestValidationErrors:
     def test_invalid_network_is_rejected(self):
@@ -184,6 +193,16 @@ class TestValidationErrors:
         with pytest.raises(NetworkValidationError) as err:
             effective_hamiltonian(net)
         assert any("asymmetric" in v for v in err.value.violations)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_each_solver_names_the_violation(self, solver):
+        bd = LossBreakdown.zeros(2)
+        J = np.array([[0.0, 1.0], [0.0, 0.0]])  # deliberately asymmetric
+        net = SiteNetwork(n_sites=2, epsilon=np.zeros(2), coupling=J,
+                          loss=bd.total(), loss_breakdown=bd)
+        with pytest.raises(NetworkValidationError) as err:
+            SOLVERS[solver](net, WaveguideCoupling(ports=((1, 1.0),)), 0.0)
+        assert str(err.value) == "asymmetric coupling (1,2)"
 
     def test_port_outside_network_is_rejected(self):
         net, _ = single_emitter()

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -351,6 +352,14 @@ class TestScenarioSuite:
         assert report["baseline"]["dip_count"] >= 1
         assert report["metadata"]["prominence"] == 0.01
         assert report["metadata"]["grid"]["n_points"] == preset_grid.n_points
+
+    def test_numpy_point_count_report_writes_as_json(self, preset):
+        net, wg = preset
+        grid = ProbeGrid(-171.0, 893.0, np.int64(101))
+        report = run_scenario_suite(net, wg, grid, [RemoveSite(5)])
+        # the form the CLI's scenario command writes report.json in
+        text = json.dumps(report, indent=2, sort_keys=True, default=list)
+        assert json.loads(text)["metadata"]["grid"]["n_points"] == 101
 
     def test_failures_do_not_abort_the_rest(self, preset, preset_grid):
         net, wg = preset
