@@ -7,6 +7,7 @@ fits Fano lineshapes to selected windows.
 
 from .model import (
     LossBreakdown,
+    NetworkValidationError,
     OHMIC_FRACTION_DEFAULT,
     PresetDataError,
     ProbeGrid,
@@ -22,7 +23,6 @@ from .model import (
 )
 from .scattering import (
     FluxLedger,
-    NetworkValidationError,
     PoleError,
     ScatteringSolution,
     Spectrum,

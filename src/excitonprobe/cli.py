@@ -79,7 +79,10 @@ def _parse_window(raw: str):
     parts = raw.split(",")
     if len(parts) != 2:
         raise ValueError(f"window must be LO,HI; got {raw!r}")
-    lo, hi = float(parts[0]), float(parts[1])
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ValueError(f"window ends must be numbers; got {raw!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"window ends must be finite; got {raw!r}")
     if not lo < hi:

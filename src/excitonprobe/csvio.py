@@ -58,10 +58,19 @@ def _fmt_meta(value):
     return str(value)
 
 
+def _meta_line(key, value):
+    """The `# key = value` line; ValueError naming a key whose line would not read back."""
+    text = _fmt_meta(value)
+    if "=" in str(key) or any(c in f"{key}{text}" for c in "\r\n"):
+        raise ValueError(f"metadata key {key!r}: a key must not hold '=', and neither "
+                         f"a key nor its value may hold a line break")
+    return f"# {key} = {text}"
+
+
 def write_spectrum_csv(path, spec: Spectrum):
     keys = [key for key in _META_TYPES if key in spec.metadata]
     keys += sorted(key for key in spec.metadata if key not in _META_TYPES)
-    lines = [f"# {key} = {_fmt_meta(spec.metadata[key])}" for key in keys]
+    lines = [_meta_line(key, spec.metadata[key]) for key in keys]
     lines.append(CSV_HEADER)
     data = np.column_stack((spec.energies, spec.T, spec.R, spec.A_total,
                             *(spec.A_channels[name] for name in _CSV_CHANNELS)))
@@ -118,19 +127,23 @@ def _read_metadata_line(metadata, line, path, lineno):
             raise ValueError(f"{path}:{lineno}: metadata {key!r}: {exc}") from None
 
 
+def _content_lines(lines, metadata, path, start=1):
+    """Yield (line number, line) for each line that is not blank; `#` lines go to metadata."""
+    for lineno, line in enumerate(lines, start=start):
+        line = line.rstrip("\n")
+        if line.startswith("#"):
+            _read_metadata_line(metadata, line, path, lineno)
+        elif line:
+            yield lineno, line
+
+
 def _read_preamble(fh, path):
     """Read fh up to and including the header: (metadata, header line number)."""
     metadata = {}
-    for lineno, line in enumerate(iter(fh.readline, ""), start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            _read_metadata_line(metadata, line, path, lineno)
-        elif line != CSV_HEADER:
+    for lineno, line in _content_lines(iter(fh.readline, ""), metadata, path):
+        if line != CSV_HEADER:
             raise ValueError(f"{path}:{lineno}: expected header {CSV_HEADER!r}, got {line!r}")
-        else:
-            return metadata, lineno
+        return metadata, lineno
     raise ValueError(f"{path}: missing header line {CSV_HEADER!r}")
 
 
@@ -139,13 +152,7 @@ def _parse_lines(path):
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         metadata, header_lineno = _read_preamble(fh, path)
-        for lineno, line in enumerate(fh, start=header_lineno + 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                _read_metadata_line(metadata, line, path, lineno)
-                continue
+        for lineno, line in _content_lines(fh, metadata, path, header_lineno + 1):
             parts = line.split(",")
             if len(parts) != len(_CSV_COLUMNS):
                 raise ValueError(f"{path}:{lineno}: expected {len(_CSV_COLUMNS)} columns, "

@@ -38,9 +38,24 @@ class SiteDataError(ValueError):
     """Site data (energies, couplings, loss arrays) is malformed."""
 
 
+class NetworkValidationError(ValueError):
+    """Input network or coupling violates a structural invariant."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("; ".join(self.violations))
+
+
 def induced_width(g, v_g=1.0):
     """Waveguide-induced decay width of a port site: Gamma = 2 g^2 / v_g."""
     return 2.0 * g * g / v_g
+
+
+def _integer(value, name: str, kind: str = "an integer") -> int:
+    """`value` as an int: an integer (numpy integers included), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def site_number(value, name: str = "site") -> int:
@@ -48,9 +63,7 @@ def site_number(value, name: str = "site") -> int:
 
     Only the type is checked; whether the site exists depends on the network.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer site number, got {value!r}")
-    return int(value)
+    return _integer(value, name, "an integer site number")
 
 
 def _real_number(value, name: str) -> float:
@@ -109,6 +122,7 @@ class SiteNetwork:
     reference_energy: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_sites", _integer(self.n_sites, "n_sites"))
         object.__setattr__(self, "epsilon", _frozen_array(self.epsilon))
         object.__setattr__(self, "coupling", _frozen_array(self.coupling))
         object.__setattr__(self, "loss", _frozen_array(self.loss))
@@ -170,7 +184,15 @@ class WaveguideCoupling:
             raise ValueError(f"ohmic_fraction must be >= 0, got {self.ohmic_fraction}")
 
     def amplitude_vector(self, n_sites: int) -> np.ndarray:
-        """Coupling amplitudes as a length-N vector (zero off-port)."""
+        """Coupling amplitudes as a length-N vector (zero off-port).
+
+        The one map from ports onto sites: NetworkValidationError lists every
+        port site outside 1..n_sites.
+        """
+        bad = [s for s, _ in self.ports if not 1 <= s <= n_sites]
+        if bad:
+            raise NetworkValidationError(
+                [f"port site {s} out of range 1..{n_sites}" for s in bad])
         w = np.zeros(n_sites)
         for s, g in self.ports:
             w[s - 1] = g
@@ -192,13 +214,14 @@ class ProbeGrid:
     def __post_init__(self):
         for name in ("e_min", "e_max"):
             object.__setattr__(self, name, _real_number(getattr(self, name), name))
-        if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):
-            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
-        object.__setattr__(self, "n_points", int(self.n_points))
+        object.__setattr__(self, "n_points", _integer(self.n_points, "n_points"))
         if self.n_points < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.n_points}")
         if not self.e_min < self.e_max:
             raise ValueError(f"empty grid range [{self.e_min}, {self.e_max}]")
+        if not math.isfinite(self.e_max - self.e_min):
+            raise ValueError(f"grid range [{self.e_min}, {self.e_max}] is too wide: "
+                             f"e_max - e_min overflows")
 
     @property
     def spacing(self) -> float:
@@ -327,10 +350,9 @@ def _coupling_matrix(entries, n: int) -> np.ndarray:
 
 def _port_ohmic_losses(wg: WaveguideCoupling, n_sites: int) -> np.ndarray:
     """Per-site Ohmic loss: wg.ohmic_fraction times each port's induced width, zero off-port."""
-    ohmic = np.zeros(n_sites)
-    for site, width in wg.port_widths().items():
-        ohmic[site - 1] = wg.ohmic_fraction * width
-    return ohmic
+    # as in float arithmetic, a width that overflows is inf and 0 * inf is nan, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        return wg.ohmic_fraction * induced_width(wg.amplitude_vector(n_sites), wg.v_g)
 
 
 def network_from_site_data(
@@ -416,7 +438,10 @@ def rebuild_port_losses(net: SiteNetwork, old_wg: WaveguideCoupling,
     The Ohmic channel follows the waveguide-induced width of each port, so
     retuning g must retune it as well; dephasing and sink channels are left
     untouched. Old port sites that are no longer ports lose their Ohmic term.
+    A port site of either coupling that net lacks raises NetworkValidationError.
     """
+    for wg in (old_wg, new_wg):
+        wg.amplitude_vector(net.n_sites)  # range-checks the ports before they index
     ohmic = np.array(net.loss_breakdown.ohmic)
     ohmic[[site - 1 for site, _ in old_wg.ports + new_wg.ports]] = 0.0
     ohmic += _port_ohmic_losses(new_wg, net.n_sites)

@@ -57,6 +57,7 @@ import numpy as np
 
 from .model import (
     LOSS_CHANNELS,
+    NetworkValidationError,
     ProbeGrid,
     SiteNetwork,
     WaveguideCoupling,
@@ -69,14 +70,6 @@ DEFAULT_GRID_MARGIN = 300.0
 
 # Relative nudge applied to a grid point that lands exactly on a pole.
 POLE_NUDGE = 1e-9
-
-
-class NetworkValidationError(ValueError):
-    """Input network or coupling violates a structural invariant."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
 
 
 class PoleError(ArithmeticError):
@@ -145,16 +138,6 @@ def effective_hamiltonian(net: SiteNetwork) -> np.ndarray:
     H = net.coupling.astype(complex)
     np.fill_diagonal(H, net.epsilon - 0.5j * net.loss)
     return H
-
-
-def _port_vector(net: SiteNetwork, wg: WaveguideCoupling) -> np.ndarray:
-    """The port amplitudes w over net's sites; NetworkValidationError if net lacks a port site."""
-    bad = [s for s, _ in wg.ports if not 1 <= s <= net.n_sites]
-    if bad:
-        raise NetworkValidationError(
-            [f"port site {s} out of range 1..{net.n_sites}" for s in bad]
-        )
-    return wg.amplitude_vector(net.n_sites)
 
 
 # Bytes one chunk's largest array may take: the stacked matrices of the LU
@@ -233,7 +216,7 @@ def _closed_form_kernel(net: SiteNetwork, wg: WaveguideCoupling):
     returns the rows t, r and xi; the bytes per point set the chunk.
     """
     H = effective_hamiltonian(net)
-    w = _port_vector(net, wg)
+    w = wg.amplitude_vector(net.n_sites)
     route = _schur_resolvent if net.n_sites >= _SCHUR_MIN_SITES else _lu_resolvent
     resolvent, point_bytes = route(H, w)
 
@@ -257,7 +240,7 @@ def _direct_kernel(net: SiteNetwork, wg: WaveguideCoupling):
     violations = validate_network(net)
     if violations:
         raise NetworkValidationError(violations)
-    w = _port_vector(net, wg)
+    w = wg.amplitude_vector(net.n_sites)
 
     n = net.n_sites
     v_g = wg.v_g

@@ -489,6 +489,21 @@ class TestCliSpectrum:
         assert not (tmp_path / "out").exists()
 
 
+    def test_overflowing_grid_span_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"),
+                           grid={"e_min": -1e308, "e_max": 1e308, "n_points": 5})
+        assert run_cli("spectrum", "--config", cfg) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: grid: grid range [-1e+308, 1e+308] is too wide: "
+                                "e_max - e_min overflows\n")
+        assert captured.out == ""
+
+    def test_overflowing_port_width_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, g1=1e200, output_dir=str(tmp_path / "out"))
+        assert run_cli("spectrum", "--config", cfg) == 1
+        assert capsys.readouterr().err == "error: non-finite values in loss\n"
+
+
 class TestCliScenario:
     @pytest.mark.parametrize("label", ["../up", "sub/escaped"])
     def test_label_with_path_separator_writes_nothing(self, tmp_path, capsys, label):
@@ -717,6 +732,14 @@ class TestCliFano:
         capsys.readouterr()
         assert run_cli("fano", "--spectrum", str(out / "baseline.csv"), "--window", "5,5") == 1
         assert capsys.readouterr().err == "error: empty window '5,5'\n"
+
+    @pytest.mark.parametrize("window", ["a,b", "1,", ",600"])
+    def test_non_numeric_window_is_an_error(self, spectrum_setup, capsys, window):
+        cfg, out = spectrum_setup
+        run_cli("spectrum", "--config", cfg)
+        capsys.readouterr()
+        assert run_cli("fano", "--spectrum", str(out / "baseline.csv"), f"--window={window}") == 1
+        assert capsys.readouterr().err == f"error: window ends must be numbers; got {window!r}\n"
 
     def test_malformed_window_is_an_error(self, spectrum_setup, capsys):
         cfg, out = spectrum_setup

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,25 @@ class TestRoundTrip:
         assert "# port_widths = 1:200.0;6:200.0\n# alpha = 1\n# note = hello\n" + CSV_HEADER \
             in again.read_text()
         assert read_spectrum_csv(str(again)).metadata["note"] == "hello"
+
+    @pytest.mark.parametrize("key, value", [
+        ("a=b", "c"), ("a\nb", "c"), ("note", "one\ntwo"), ("note", "one\rtwo"),
+    ], ids=["equals-in-key", "newline-in-key", "newline-in-value", "return-in-value"])
+    def test_metadata_that_would_not_read_back_is_refused(self, baseline_spectrum, tmp_path,
+                                                          key, value):
+        spec = dataclasses.replace(baseline_spectrum, metadata=dict(
+            baseline_spectrum.metadata, **{key: value}))
+        path = tmp_path / "meta.csv"
+        with pytest.raises(ValueError, match=re.escape(f"metadata key {key!r}:")):
+            write_spectrum_csv(str(path), spec)
+        assert not path.exists()
+
+    def test_equals_sign_in_value_round_trips(self, baseline_spectrum, tmp_path):
+        spec = dataclasses.replace(baseline_spectrum, metadata=dict(
+            baseline_spectrum.metadata, note="b = c"))
+        path = str(tmp_path / "meta.csv")
+        write_spectrum_csv(path, spec)
+        assert read_spectrum_csv(path).metadata == spec.metadata
 
     def test_numpy_float_metadata_round_trips(self, baseline_spectrum, tmp_path):
         md = baseline_spectrum.metadata

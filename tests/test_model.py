@@ -11,6 +11,7 @@ from excitonprobe.model import (
     LOSS_CHANNELS,
     OHMIC_FRACTION_DEFAULT,
     LossBreakdown,
+    NetworkValidationError,
     PresetDataError,
     ProbeGrid,
     SiteDataError,
@@ -23,6 +24,7 @@ from excitonprobe.model import (
     rebuild_port_losses,
     validate_network,
 )
+from excitonprobe import model, scattering
 from randnets import random_instance
 
 
@@ -169,6 +171,18 @@ class TestSiteNetwork:
         with pytest.raises(ValueError, match=re.escape(message)):
             dataclasses.replace(small_network(3), reference_energy=value)
 
+    @pytest.mark.parametrize("labels", [(), ("a", "b", "c")], ids=["default", "given"])
+    @pytest.mark.parametrize("value", [3.0, "3", True])
+    def test_site_count_must_be_an_integer(self, value, labels):
+        bd = LossBreakdown.zeros(3)
+        with pytest.raises(ValueError, match=re.escape(f"n_sites must be an integer, got {value!r}")):
+            SiteNetwork(n_sites=value, epsilon=np.zeros(3), coupling=np.zeros((3, 3)),
+                        loss=bd.total(), loss_breakdown=bd, labels=labels)
+
+    def test_numpy_integer_site_count_stored_as_int(self):
+        net = dataclasses.replace(small_network(3), n_sites=np.int64(3))
+        assert type(net.n_sites) is int and validate_network(net) == []
+
 
 class TestWaveguideCoupling:
     def test_amplitude_vector_places_ports(self):
@@ -176,6 +190,33 @@ class TestWaveguideCoupling:
         w = wg.amplitude_vector(7)
         assert w[0] == 10.0 and w[5] == 0.5
         assert np.count_nonzero(w) == 2
+
+    def test_amplitude_vector_names_every_missing_port_site(self):
+        wg = WaveguideCoupling(ports=((9, 1.0), (2, 1.0), (4, 0.0)))
+        with pytest.raises(NetworkValidationError) as err:
+            wg.amplitude_vector(3)
+        assert err.value.violations == ["port site 9 out of range 1..3",
+                                        "port site 4 out of range 1..3"]
+
+    def test_validation_error_is_one_class(self):
+        import excitonprobe
+        assert scattering.NetworkValidationError is NetworkValidationError
+        assert excitonprobe.NetworkValidationError is NetworkValidationError
+
+    @given(ports=st.dictionaries(st.integers(1, 9), st.one_of(
+               st.floats(0.0, 1e6), st.floats(0.0, 1e200), st.sampled_from([0.0, 5e-324])),
+               min_size=1, max_size=9),
+           v_g=st.one_of(st.floats(1e-300, 1e300), st.sampled_from([1.0, 5e-324])),
+           fraction=st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, 0.05])))
+    @settings(max_examples=300, deadline=None)
+    def test_port_ohmic_losses_match_each_port_width(self, ports, v_g, fraction):
+        wg = WaveguideCoupling(ports=tuple(ports.items()), v_g=v_g, ohmic_fraction=fraction)
+        expected = np.zeros(9)
+        with np.errstate(over="ignore"):
+            for site, width in wg.port_widths().items():
+                expected[site - 1] = fraction * width
+            ohmic = model._port_ohmic_losses(wg, 9)
+        assert np.array_equal(ohmic.view(np.int64), expected.view(np.int64))  # bit for bit
 
     def test_port_widths(self):
         wg = WaveguideCoupling(ports=((1, 10.0), (6, 10.0)))
@@ -227,6 +268,15 @@ class TestProbeGrid:
     def test_numpy_integer_point_count_stored_as_int(self):
         grid = ProbeGrid(0.0, 1.0, np.int64(11))
         assert type(grid.n_points) is int and grid.n_points == 11
+
+    def test_point_count_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=re.escape("n_points must be an integer, got 11.0")):
+            ProbeGrid(0.0, 1.0, 11.0)
+
+    def test_overflowing_span_rejected(self):
+        message = "grid range [-1e+308, 1e+308] is too wide: e_max - e_min overflows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ProbeGrid(-1e308, 1e308, 5)
 
 
 class TestValidateNetwork:
@@ -445,6 +495,14 @@ class TestRebuildPortLosses:
         new_wg = WaveguideCoupling(ports=((1, 3.0), (6, 3.0)), v_g=wg.v_g)
         out = rebuild_port_losses(net, wg, new_wg)
         assert validate_network(out) == []
+
+    @pytest.mark.parametrize("side", ["old", "new"])
+    def test_port_site_outside_network_rejected(self, preset, side):
+        net, wg = preset
+        far = WaveguideCoupling(ports=((1, 10.0), (9, 1.0)), v_g=wg.v_g)
+        old_wg, new_wg = (far, wg) if side == "old" else (wg, far)
+        with pytest.raises(NetworkValidationError, match=r"^port site 9 out of range 1\.\.7$"):
+            rebuild_port_losses(net, old_wg, new_wg)
 
     def test_input_not_mutated(self, preset):
         net, wg = preset
