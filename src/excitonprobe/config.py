@@ -77,8 +77,7 @@ class RunConfig:
             if name in _POSITIVE and value <= 0:
                 raise ValueError(f"config key {name!r} must be > 0, got {value!r}")
             if value < 0:
-                raise ValueError("port amplitudes g1, g6 must be >= 0" if name in ("g1", "g6")
-                                 else f"config key {name!r} must be >= 0, got {value!r}")
+                raise ValueError(f"config key {name!r} must be >= 0, got {value!r}")
             object.__setattr__(self, name, value)
         if self.network not in ("preset", "file"):
             raise ValueError(

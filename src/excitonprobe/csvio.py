@@ -30,46 +30,43 @@ FANO_CSV_HEADER = ",".join(("label", *_FANO_FLOATS, "converged"))
 
 
 def _site_pairs(raw: str):
-    """`1:10.0;6:0.1` -> ((1, 10.0), (6, 0.1)), the form _fmt_meta writes."""
+    """`1:10.0;6:0.1` -> ((1, 10.0), (6, 0.1)), the form _pairs_text writes."""
     return tuple((int(s), float(v)) for s, _, v in
                  (item.partition(":") for item in raw.split(";") if item))
 
 
-# Metadata keys, in the fixed order they are written when present, each with
-# the type it is read back as. Keys not listed here are written after them,
-# sorted by name, and read back as str.
-_META_TYPES = {
-    "solver": str,
-    "network_hash": str,
-    "v_g": float,
-    "reference_energy_cm1": float,
-    "ports": _site_pairs,
-    "port_widths": lambda raw: dict(_site_pairs(raw)),
+def _pairs_text(pairs):
+    return ";".join(f"{site}:{float(g)!r}" for site, g in pairs)
+
+
+# Known metadata keys in write order -> (write, read); other keys follow, sorted, as text.
+_META = {
+    "solver": (str, str),
+    "network_hash": (str, str),
+    "v_g": (lambda v: repr(float(v)), float),  # a numpy float's own repr names its type
+    "reference_energy_cm1": (lambda v: repr(float(v)), float),
+    "ports": (_pairs_text, _site_pairs),
+    "port_widths": (lambda w: _pairs_text(sorted(dict(w).items())), lambda r: dict(_site_pairs(r))),
 }
-
-
-def _fmt_meta(value):
-    if isinstance(value, dict):
-        value = tuple(sorted(value.items()))
-    if isinstance(value, tuple):
-        return ";".join(f"{s}:{_fmt_meta(g)}" for s, g in value)
-    if isinstance(value, float):
-        return repr(float(value))  # a numpy float's repr names its type
-    return str(value)
 
 
 def _meta_line(key, value):
     """The `# key = value` line; ValueError naming a key whose line would not read back."""
-    text = _fmt_meta(value)
-    if "=" in str(key) or any(c in f"{key}{text}" for c in "\r\n"):
-        raise ValueError(f"metadata key {key!r}: a key must not hold '=', and neither "
-                         f"a key nor its value may hold a line break")
-    return f"# {key} = {text}"
+    name, (write, read) = str(key), _META.get(key, (str, str))
+    try:
+        text = write(value)
+        read(text)
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"metadata key {key!r}: {value!r} would not read back: {exc}") from None
+    line = f"# {name} = {text}"
+    if name != key or _split_meta(line) != (name, text) or any(c in line for c in "\r\n"):
+        raise ValueError(f"metadata key {key!r}: {line!r} would not read back as written")
+    return line
 
 
 def write_spectrum_csv(path, spec: Spectrum):
-    keys = [key for key in _META_TYPES if key in spec.metadata]
-    keys += sorted(key for key in spec.metadata if key not in _META_TYPES)
+    keys = [key for key in _META if key in spec.metadata]
+    keys += sorted((key for key in spec.metadata if key not in _META), key=str)
     lines = [_meta_line(key, spec.metadata[key]) for key in keys]
     lines.append(CSV_HEADER)
     data = np.column_stack((spec.energies, spec.T, spec.R, spec.A_total,
@@ -94,8 +91,8 @@ def read_spectrum_csv(path) -> Spectrum:
     """Rebuild a Spectrum from a file written by write_spectrum_csv.
 
     The energy column must form a uniform grid and every other value must be
-    finite; metadata lines come back as a dict, each value read as the type
-    _META_TYPES gives its key (str for a key it does not list).
+    finite; metadata lines come back as a dict, each value read by the reader
+    _META gives its key (as text for a key it does not list).
 
     The rows after the header go to numpy's C parser. Where it fails or
     yields anything but a finite 7-column array, the line parser reads the
@@ -116,13 +113,16 @@ def read_spectrum_csv(path) -> Spectrum:
     return _spectrum_from_rows(path, metadata, data)
 
 
+def _split_meta(line):
+    key, _, raw = line[1:].partition("=")
+    return key.strip(), raw.strip()
+
+
 def _read_metadata_line(metadata, line, path, lineno):
-    body = line[1:].strip()
-    if "=" in body:
-        key, _, raw = body.partition("=")
-        key = key.strip()
+    if "=" in line:
+        key, raw = _split_meta(line)
         try:
-            metadata[key] = _META_TYPES.get(key, str)(raw.strip())
+            metadata[key] = _META.get(key, (str, str))[1](raw)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: metadata {key!r}: {exc}") from None
 

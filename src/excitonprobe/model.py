@@ -17,7 +17,8 @@ from importlib import resources
 
 import numpy as np
 
-# Named loss channels, in the order they appear in spectrum CSV columns.
+# Named loss channels, in the order of the LossBreakdown fields; spectrum CSVs
+# write their columns in another order (csvio._CSV_CHANNELS).
 LOSS_CHANNELS = ("dephasing", "ohmic", "sink")
 
 PRESET_DATA_FILE = "fmo_hamiltonian.json"
@@ -373,6 +374,8 @@ def network_from_site_data(
     unknown = set(data) - SITE_DATA_KEYS
     if unknown:
         raise SiteDataError(f"unknown site-data key {sorted(unknown)[0]!r}")
+    if data.get("units", "cm-1") != "cm-1":  # every energy and rate is read in cm^-1
+        raise SiteDataError(f"key 'units' must be 'cm-1', got {data['units']!r}")
     for key in ("epsilon_cm1", "coupling_upper_triangle_cm1"):
         if key not in data:
             raise SiteDataError(f"site data lacks key {key!r}")

@@ -69,7 +69,8 @@ class TestParseConfig:
 
     def test_negative_amplitude_rejected(self, tmp_path):
         path = write_config(tmp_path, g6=-1.0)
-        with pytest.raises(ConfigError, match="g1, g6"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: config key 'g6' must be >= 0, got -1.0")):
             parse_config(path)
 
     @pytest.mark.parametrize("key", ["gamma_dp", "gamma_s", "ohmic_fraction"])
@@ -397,6 +398,16 @@ class TestBuildSetup:
         err = capsys.readouterr().err
         assert err == (f"error: network file '{tmp_path / name}': "
                        "key 'reference_energy_cm1' must be finite, got nan\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("units", ["meV", "cm^-1", None])
+    def test_network_file_in_other_units_rejected(self, tmp_path, capsys, units):
+        name = write_network_file(tmp_path, dict(bundled_site_data(), units=units))
+        out = tmp_path / "out"
+        path = write_config(tmp_path, network="file", network_file=name, output_dir=str(out))
+        assert run_cli("spectrum", "--config", path) == 1
+        assert capsys.readouterr().err == (f"error: network file '{tmp_path / name}': "
+                                           f"key 'units' must be 'cm-1', got {units!r}\n")
         assert not out.exists()
 
     def test_network_file_too_small(self, tmp_path):

@@ -100,6 +100,29 @@ class TestRoundTrip:
             write_spectrum_csv(str(path), spec)
         assert not path.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("v_g", "fast"), ("ports", "x"), ("ports", ((1.5, 2.0),)), ("port_widths", "x"),
+        ("note", " padded "), ("note", "tail\t"), (" a", "b"), (3, "v"),
+    ], ids=["text-as-float", "text-as-ports", "float-site", "text-as-widths",
+            "padded-value", "trailing-tab", "padded-key", "int-key"])
+    def test_metadata_its_reader_would_not_give_back_is_refused(
+            self, baseline_spectrum, tmp_path, key, value):
+        spec = dataclasses.replace(baseline_spectrum, metadata={
+            **baseline_spectrum.metadata, "note": "x", key: value})
+        path = tmp_path / "meta.csv"
+        with pytest.raises(ValueError, match="^" + re.escape(f"metadata key {key!r}:")):
+            write_spectrum_csv(str(path), spec)
+        assert not path.exists()
+
+    def test_unknown_key_is_written_as_text(self, baseline_spectrum, tmp_path):
+        spec = dataclasses.replace(baseline_spectrum, metadata=dict(
+            baseline_spectrum.metadata, note=(1, 2.0), v_g=2))
+        path = tmp_path / "meta.csv"
+        write_spectrum_csv(str(path), spec)
+        assert "# v_g = 2.0\n" in path.read_text()
+        md = read_spectrum_csv(str(path)).metadata
+        assert md["note"] == "(1, 2.0)" and md["v_g"] == 2.0
+
     def test_equals_sign_in_value_round_trips(self, baseline_spectrum, tmp_path):
         spec = dataclasses.replace(baseline_spectrum, metadata=dict(
             baseline_spectrum.metadata, note="b = c"))

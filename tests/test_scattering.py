@@ -166,6 +166,24 @@ class TestPoleHandling:
         assert np.all(np.isfinite(spec.T))
         assert spec.T[1] < 1e-10
 
+    def test_pole_is_resolved_above_its_grid_point(self, monkeypatch):
+        # the retry solves the pole alone at E + POLE_NUDGE * spacing
+        solved = []
+        real = scattering._solve_stack
+
+        def spy(amplitudes, energies):
+            solved.append(np.array(energies))
+            return real(amplitudes, energies)
+
+        monkeypatch.setattr(scattering, "_solve_stack", spy)
+        net, wg = single_emitter(epsilon=0.0, g=1.0)
+        grid = ProbeGrid(-1.0, 1.0, 3)
+        sweep_spectrum(net, wg, grid)
+        assert len(solved) == 2
+        assert np.array_equal(solved[0], grid.energies())
+        assert solved[1].tolist() == [0.0 + scattering.POLE_NUDGE * grid.spacing]
+        assert solved[1][0] > 0.0
+
     def test_point_solver_raises_on_pole(self):
         net, wg = single_emitter(epsilon=0.0, g=1.0)
         with pytest.raises(PoleError):

@@ -304,6 +304,27 @@ class TestSpectralDifference:
             )
         assert diffs["inhibit-J-5-6"].l_inf > diffs["inhibit-J-2-3"].l_inf
 
+    @pytest.mark.parametrize("scenario, l_inf, l2, area", [
+        (InhibitCoupling(5, 6), 0.8575, 3.57, 60.1),
+        (RemoveSite(5), 0.8706, 4.11, 62.3),
+    ], ids=["inhibit-J-5-6", "remove-site-5"])
+    def test_distance_values_match_a_written_out_quadrature(
+        self, preset, preset_grid, baseline_spectrum, scenario, l_inf, l2, area
+    ):
+        # l2 = sqrt(h * sum dT^2), l_inf = max |dT|, area = trapezoid rule on |dT|
+        net, wg = preset
+        mod = sweep_spectrum(*apply_defect(net, wg, scenario), preset_grid)
+        dT = [float(m - b) for m, b in zip(mod.T, baseline_spectrum.T)]
+        h = (preset_grid.e_max - preset_grid.e_min) / (preset_grid.n_points - 1)
+        want_l2 = (h * sum(d * d for d in dT)) ** 0.5
+        want_area = sum(0.5 * h * (abs(a) + abs(b)) for a, b in zip(dT, dT[1:]))
+        d = spectral_difference(baseline_spectrum, mod)
+        assert d.l_inf == max(abs(x) for x in dT)
+        assert d.l2 == pytest.approx(want_l2, rel=1e-12)
+        assert d.area == pytest.approx(want_area, rel=1e-12)
+        # the values README.md quotes for check 8's symmetric probe
+        assert (round(d.l_inf, 4), round(d.l2, 2), round(d.area, 1)) == (l_inf, l2, area)
+
     def test_removing_a_site_loses_a_dip(self, preset, preset_grid, baseline_spectrum):
         net, wg = preset
         d_net, d_wg = apply_defect(net, wg, RemoveSite(2))
