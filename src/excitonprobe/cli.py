@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import csvio, svgplot
 from .config import parse_config, build_setup
-from .fano import fit_fano
+from .fano import _fit_window, fit_fano
 from .scattering import PoleError, sweep_spectrum
 from .scenarios import DEFAULT_PROMINENCE, run_scenario_suite, spectral_difference
 
@@ -83,18 +82,17 @@ def _parse_window(raw: str):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ValueError(f"window ends must be numbers; got {raw!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"window ends must be finite; got {raw!r}")
-    if not lo < hi:
-        raise ValueError(f"empty window {raw!r}")
-    return lo, hi
+    return _fit_window((lo, hi), f"window {raw!r}")
 
 
 def cmd_fano(args) -> int:
+    if args.window and args.config:
+        raise ValueError("--window and --config both give fit windows; pass one of them")
     spec = csvio.read_spectrum_csv(args.spectrum)
-    windows = [_parse_window(w) for w in args.window or []]
-    if not windows and args.config:
+    if args.config:
         windows = list(parse_config(args.config).fit_windows)
+    else:
+        windows = [_parse_window(w) for w in args.window or []]
     if not windows:
         raise ValueError("no fit windows: pass --window LO,HI or a config with fit_windows")
 
@@ -136,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fano", help="fit Fano lineshapes to spectrum windows")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--window", action="append", metavar="LO,HI")
-    p.add_argument("--config", help="config supplying fit_windows when --window is absent")
+    p.add_argument("--config", help="config supplying fit_windows; exclusive with --window")
     p.add_argument("--label", help="row label (single window only)")
     p.add_argument("--out", help="also write the fit table to this CSV path")
     p.set_defaults(func=cmd_fano)
@@ -149,7 +147,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, PoleError, OSError) as exc:
+    except (ValueError, PoleError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

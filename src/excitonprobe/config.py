@@ -14,6 +14,7 @@ import numbers
 import os
 from dataclasses import MISSING, dataclass, fields, replace
 
+from .fano import _fit_window
 from .model import (
     OHMIC_FRACTION_DEFAULT,
     ProbeGrid,
@@ -35,15 +36,6 @@ _FILE_LOSS_RATES = {"loss_dephasing_cm1": "gamma_dp", "loss_sink_cm1": "gamma_s"
 
 # The float fields of RunConfig that must be > 0; the others must be >= 0.
 _POSITIVE = ("v_g", "prominence")
-
-
-def _fit_window(win, index):
-    if not isinstance(win, (list, tuple)) or len(win) != 2:
-        raise ValueError(f"fit window {index} must be a [lo, hi] pair of numbers, got {win!r}")
-    lo, hi = (_real_number(v, f"fit window {index}: {end}") for end, v in zip(("lo", "hi"), win))
-    if not lo < hi:
-        raise ValueError(f"fit window {index} is empty: [{lo}, {hi}]")
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -126,7 +118,7 @@ class RunConfig:
         if not isinstance(self.fit_windows, (list, tuple)):
             raise ValueError("config key 'fit_windows' must be a list of [lo, hi] pairs")
         object.__setattr__(self, "fit_windows", tuple(
-            _fit_window(win, i) for i, win in enumerate(self.fit_windows)))
+            _fit_window(win, f"fit window {i}") for i, win in enumerate(self.fit_windows)))
 
 
 def _read_json_object(path, what) -> dict:

@@ -16,6 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .model import _real_number
+
 MIN_WINDOW_POINTS = 8
 MAX_ITERATIONS = 500
 GRADIENT_TOL = 1e-10
@@ -98,8 +100,7 @@ def _in_bounds(params):
     return params[2] > 0.0 and T_BG_BOUNDS[0] <= params[3] <= T_BG_BOUNDS[1]
 
 
-def fit_fano_window(energies, values, init=None,
-                    max_iterations: int = MAX_ITERATIONS) -> FanoFit:
+def fit_fano_window(energies, values, init=None) -> FanoFit:
     """Least-squares Fano fit on raw (energy, transmission) arrays.
 
     `init`, when given, is the seed (q, e_res, gamma_w, t_bg) and overrides
@@ -140,7 +141,7 @@ def fit_fano_window(energies, values, init=None,
     converged = False
     iterations = 0
 
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         half_grad = J.T @ r
         if np.linalg.norm(2.0 * half_grad) < GRADIENT_TOL:
             converged = True
@@ -170,11 +171,19 @@ def fit_fano_window(energies, values, init=None,
     return result(params, converged, iterations)
 
 
+def _fit_window(win, name: str):
+    """`win` as (lo, hi): a pair of finite real numbers with lo < hi; messages name it `name`."""
+    if not isinstance(win, (list, tuple)) or len(win) != 2:
+        raise ValueError(f"{name} must be a [lo, hi] pair of numbers, got {win!r}")
+    lo, hi = (_real_number(v, f"{name}: {end}") for end, v in zip(("lo", "hi"), win))
+    if not lo < hi:
+        raise ValueError(f"{name} is empty: [{lo}, {hi}]")
+    return lo, hi
+
+
 def fit_fano(spec, window) -> FanoFit:
     """Fit one energy window (e_lo, e_hi) of a spectrum's transmission."""
-    e_lo, e_hi = window
-    if not e_lo < e_hi:
-        raise ValueError(f"empty fit window ({e_lo}, {e_hi})")
+    e_lo, e_hi = _fit_window(window, "fit window")
     energies = spec.energies
     mask = (energies >= e_lo) & (energies <= e_hi)
     if int(mask.sum()) < MIN_WINDOW_POINTS:

@@ -3,7 +3,7 @@
 Energies and rates are in cm^-1 throughout. Site energies are offsets from a
 declared reference energy so that only differences enter the physics; the
 reference is carried as metadata. Site numbers in the public API are 1-based
-(matching the "site 1" ... "site N" labels); the underlying arrays are 0-based.
+("site 1" ... "site N"); the underlying arrays are 0-based.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ class SiteNetwork:
     coupling: np.ndarray
     loss: np.ndarray
     loss_breakdown: LossBreakdown
-    labels: tuple[str, ...] = ()
     reference_energy: float = 0.0
 
     def __post_init__(self):
@@ -129,18 +128,6 @@ class SiteNetwork:
         object.__setattr__(self, "loss", _frozen_array(self.loss))
         object.__setattr__(self, "reference_energy",
                            _real_number(self.reference_energy, "reference_energy"))
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple(f"site {n}" for n in range(1, self.n_sites + 1))
-            )
-        else:
-            object.__setattr__(self, "labels", tuple(self.labels))
-
-    def site_index(self, site: int) -> int:
-        """0-based array index for a 1-based site number."""
-        if not 1 <= site <= self.n_sites:
-            raise IndexError(f"site {site} out of range 1..{self.n_sites}")
-        return site - 1
 
 
 @dataclass(frozen=True)
@@ -255,8 +242,6 @@ def validate_network(net: SiteNetwork) -> list[str]:
             violations.append(
                 f"loss_breakdown[{name}] shape {arr.shape} inconsistent with n_sites {n}"
             )
-    if len(net.labels) != n:
-        violations.append(f"{len(net.labels)} labels for {n} sites")
     if violations:
         return violations
 
@@ -393,7 +378,7 @@ def network_from_site_data(
         dephasing = _loss_values(data, "loss_dephasing_cm1", n)
     if "loss_sink_cm1" in data:
         sink = _loss_values(data, "loss_sink_cm1", n)
-    labels = data.get("labels", [])
+    labels = data.get("labels", [])  # they describe the sites: checked, not kept
     if not (isinstance(labels, list) and len(labels) in (0, n)
             and all(isinstance(label, str) for label in labels)):
         raise SiteDataError(f"key 'labels' must list one string per site ({n} sites)")
@@ -409,7 +394,6 @@ def network_from_site_data(
         coupling=_coupling_matrix(data["coupling_upper_triangle_cm1"], n),
         loss=breakdown.total(),
         loss_breakdown=breakdown,
-        labels=tuple(labels),
         reference_energy=reference,
     )
     return net, wg

@@ -9,14 +9,13 @@ in the emitted CSVs but not scored.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import (
-    LossBreakdown, SiteNetwork, WaveguideCoupling, rebuild_port_losses, site_number,
+    LossBreakdown, SiteNetwork, WaveguideCoupling, _real_number, rebuild_port_losses, site_number,
 )
 from .scattering import Spectrum, sweep_spectrum
 
@@ -132,7 +131,6 @@ def apply_defect(net: SiteNetwork, wg: WaveguideCoupling, scenario):
             coupling=net.coupling[np.ix_(keep, keep)],
             loss=net.loss[keep],
             loss_breakdown=breakdown,
-            labels=tuple(net.labels[i] for i in keep),
         )
         new_ports = tuple((s - 1 if s > scenario.site else s, g) for s, g in wg.ports)
         return new_net, replace(wg, ports=new_ports)
@@ -203,8 +201,9 @@ def find_extrema(spec: Spectrum, prominence: float = DEFAULT_PROMINENCE):
     <= the peak (or the end of the spectrum). A peak is kept when its
     prominence is >= ``prominence``.
     """
-    if not (math.isfinite(prominence) and prominence > 0):
-        raise ValueError(f"prominence must be finite and > 0, got {prominence!r}")
+    prominence = _real_number(prominence, "prominence")
+    if prominence <= 0:
+        raise ValueError(f"prominence must be > 0, got {prominence!r}")
     energies = spec.energies
     # dips first: the stable sort keeps a dip before a peak at the same energy
     out = [Extremum(float(energies[i]), float(spec.T[i]), kind)

@@ -330,7 +330,6 @@ class TestBuildSetup:
         preset_net, preset_wg = fmo_preset(**rates)
         assert network_fingerprint(preset_net) == fingerprint
         assert network_fingerprint(net) == fingerprint
-        assert net.labels == preset_net.labels
         assert wg == preset_wg
 
     def test_file_loss_arrays_replace_rates(self, tmp_path):
@@ -514,6 +513,22 @@ class TestCliSpectrum:
         assert run_cli("spectrum", "--config", cfg) == 1
         assert capsys.readouterr().err == "error: non-finite values in loss\n"
 
+    def test_grid_too_large_to_allocate_is_one_error_line(self, spectrum_setup, monkeypatch,
+                                                          capsys):
+        # a grid that fits no memory, simulated: a real one could be granted by an
+        # overcommitting host and then exhaust it
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+        def energies(grid):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("excitonprobe.model.ProbeGrid.energies", energies)
+        cfg, out = spectrum_setup
+        assert run_cli("spectrum", "--config", cfg) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
 
 class TestCliScenario:
     @pytest.mark.parametrize("label", ["../up", "sub/escaped"])
@@ -632,15 +647,19 @@ class TestCliDiff:
         payload = json.loads(capsys.readouterr().out)
         assert payload["l_inf"] > 0.0
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
-    def test_prominence_must_be_finite_and_positive(self, spectrum_setup, capsys, value):
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "prominence must be finite, got nan"),
+        ("inf", "prominence must be finite, got inf"),
+        ("0", "prominence must be > 0, got 0.0"),
+    ], ids=["nan", "inf", "0"])
+    def test_prominence_must_be_finite_and_positive(self, spectrum_setup, capsys, value, message):
         cfg, out = spectrum_setup
         run_cli("spectrum", "--config", cfg)
         path = str(out / "baseline.csv")
         capsys.readouterr()
         assert run_cli("diff", "--base", path, "--mod", path, "--prominence", value) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: prominence must be finite and > 0, got {float(value)!r}\n"
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
@@ -719,6 +738,19 @@ class TestCliFano:
         assert "--label" in captured.err
         assert captured.out == ""
 
+    def test_window_and_config_are_exclusive(self, spectrum_setup, tmp_path, capsys):
+        # the config is not read, so a missing one must not go unnoticed either
+        cfg, out = spectrum_setup
+        run_cli("spectrum", "--config", cfg)
+        capsys.readouterr()
+        rc = run_cli("fano", "--spectrum", str(out / "baseline.csv"), "--window", "540,700",
+                     "--config", str(tmp_path / "missing.json"))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --window and --config both give fit windows; "
+                                "pass one of them\n")
+        assert captured.out == ""
+
     def test_no_windows_is_an_error(self, spectrum_setup, capsys):
         cfg, out = spectrum_setup
         run_cli("spectrum", "--config", cfg)
@@ -726,15 +758,19 @@ class TestCliFano:
         assert run_cli("fano", "--spectrum", str(out / "baseline.csv")) == 1
         assert "no fit windows" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("window", ["0,inf", "-inf,600", "nan,600"])
-    def test_non_finite_window_is_an_error(self, spectrum_setup, capsys, window):
+    @pytest.mark.parametrize("window, message", [
+        ("0,inf", "hi must be finite, got inf"),
+        ("-inf,600", "lo must be finite, got -inf"),
+        ("nan,600", "lo must be finite, got nan"),
+    ], ids=["0,inf", "-inf,600", "nan,600"])
+    def test_non_finite_window_is_an_error(self, spectrum_setup, capsys, window, message):
         cfg, out = spectrum_setup
         run_cli("spectrum", "--config", cfg)
         capsys.readouterr()
         rc = run_cli("fano", "--spectrum", str(out / "baseline.csv"), f"--window={window}")
         assert rc == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: window ends must be finite; got {window!r}\n"
+        assert captured.err == f"error: window {window!r}: {message}\n"
         assert captured.out == ""
 
     def test_empty_window_is_an_error(self, spectrum_setup, capsys):
@@ -742,7 +778,7 @@ class TestCliFano:
         run_cli("spectrum", "--config", cfg)
         capsys.readouterr()
         assert run_cli("fano", "--spectrum", str(out / "baseline.csv"), "--window", "5,5") == 1
-        assert capsys.readouterr().err == "error: empty window '5,5'\n"
+        assert capsys.readouterr().err == "error: window '5,5' is empty: [5.0, 5.0]\n"
 
     @pytest.mark.parametrize("window", ["a,b", "1,", ",600"])
     def test_non_numeric_window_is_an_error(self, spectrum_setup, capsys, window):

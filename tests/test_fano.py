@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from excitonprobe import fano
 from excitonprobe.fano import (
     MIN_WINDOW_POINTS,
     T_BG_BOUNDS,
@@ -126,14 +129,16 @@ class TestRoundTrip:
 
 
 class TestIterationDiscipline:
-    def test_residual_never_increases_with_more_iterations(self):
+    def test_residual_never_increases_with_more_iterations(self, monkeypatch):
         # the damped step is only ever accepted when it lowers the cost, so
         # capping the iteration count earlier can never give a better fit
         energies, values = synth()
-        residuals = [
-            fit_fano_window(energies, values, max_iterations=k).residual
-            for k in (1, 2, 3, 5, 8, 13, 21, 60)
-        ]
+        residuals = []
+        for k in (1, 2, 3, 5, 8, 13, 21, 60):
+            monkeypatch.setattr(fano, "MAX_ITERATIONS", k)
+            fit = fit_fano_window(energies, values)
+            assert fit.iterations <= k
+            residuals.append(fit.residual)
         for earlier, later in zip(residuals, residuals[1:]):
             assert later <= earlier + 1e-15
 
@@ -199,8 +204,20 @@ class TestSpectrumWindowing:
     def test_empty_window_rejected(self):
         energies, values = synth()
         spec = spectrum_from(energies, values)
-        with pytest.raises(ValueError, match="empty fit window"):
+        with pytest.raises(ValueError, match=re.escape("fit window is empty: [10.0, 10.0]")):
             fit_fano(spec, (10.0, 10.0))
+
+    @pytest.mark.parametrize("window, message", [
+        ((0.0, np.inf), "fit window: hi must be finite, got inf"),
+        ((-np.inf, np.inf), "fit window: lo must be finite, got -inf"),
+        ((np.nan, 600.0), "fit window: lo must be finite, got nan"),
+    ], ids=["0-inf", "inf-inf", "nan-600"])
+    def test_non_finite_window_rejected(self, window, message):
+        # the rule a config's fit_windows and the CLI's --window obey
+        energies, values = synth()
+        spec = spectrum_from(energies, values)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_fano(spec, window)
 
     def test_sparse_window_rejected(self):
         energies, values = synth()

@@ -61,8 +61,6 @@ def loop_validate_network(net):
             violations.append(
                 f"loss_breakdown[{name}] shape {arr.shape} inconsistent with n_sites {n}"
             )
-    if len(net.labels) != n:
-        violations.append(f"{len(net.labels)} labels for {n} sites")
     if violations:
         return violations
 
@@ -134,22 +132,6 @@ class TestLossBreakdown:
 
 
 class TestSiteNetwork:
-    def test_default_labels(self):
-        net = small_network(3)
-        assert net.labels == ("site 1", "site 2", "site 3")
-
-    def test_site_index_is_one_based(self):
-        net = small_network(3)
-        assert net.site_index(1) == 0
-        assert net.site_index(3) == 2
-
-    def test_site_index_rejects_out_of_range(self):
-        net = small_network(3)
-        with pytest.raises(IndexError):
-            net.site_index(0)
-        with pytest.raises(IndexError):
-            net.site_index(4)
-
     def test_arrays_are_read_only(self):
         net = small_network(3)
         with pytest.raises(ValueError):
@@ -171,13 +153,12 @@ class TestSiteNetwork:
         with pytest.raises(ValueError, match=re.escape(message)):
             dataclasses.replace(small_network(3), reference_energy=value)
 
-    @pytest.mark.parametrize("labels", [(), ("a", "b", "c")], ids=["default", "given"])
     @pytest.mark.parametrize("value", [3.0, "3", True])
-    def test_site_count_must_be_an_integer(self, value, labels):
+    def test_site_count_must_be_an_integer(self, value):
         bd = LossBreakdown.zeros(3)
         with pytest.raises(ValueError, match=re.escape(f"n_sites must be an integer, got {value!r}")):
             SiteNetwork(n_sites=value, epsilon=np.zeros(3), coupling=np.zeros((3, 3)),
-                        loss=bd.total(), loss_breakdown=bd, labels=labels)
+                        loss=bd.total(), loss_breakdown=bd)
 
     def test_numpy_integer_site_count_stored_as_int(self):
         net = dataclasses.replace(small_network(3), n_sites=np.int64(3))
@@ -391,7 +372,6 @@ class TestValidateNetwork:
         ({"loss": np.zeros(4)}, "loss shape (4,) inconsistent with n_sites 3"),
         ({"loss_breakdown": LossBreakdown(np.zeros(3), np.zeros(2), np.zeros(3))},
          "loss_breakdown[ohmic] shape (2,) inconsistent with n_sites 3"),
-        ({"labels": ("a", "b")}, "2 labels for 3 sites"),
     ])
     def test_size_messages(self, changes, message):
         bd = LossBreakdown.zeros(3)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -102,9 +103,8 @@ class TestApplyRemove:
         net, wg = preset
         new_net, new_wg = apply_defect(net, wg, RemoveSite(2))
         assert new_net.n_sites == 6
-        assert new_net.labels == tuple(
-            l for l in net.labels if l != "site 2"
-        )
+        # site 2 is gone; sites 3..7 become 2..6
+        assert np.array_equal(new_net.epsilon, np.delete(net.epsilon, 1))
 
     def test_ports_remap_past_removed_site(self, preset):
         net, wg = preset
@@ -198,6 +198,12 @@ class TestFindExtrema:
     def test_prominence_must_be_positive(self, baseline_spectrum):
         with pytest.raises(ValueError, match="prominence"):
             find_extrema(baseline_spectrum, prominence=0.0)
+
+    @pytest.mark.parametrize("value", [True, "0.01", None], ids=["bool", "string", "none"])
+    def test_prominence_must_be_a_real_number(self, baseline_spectrum, value):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"prominence must be a real number, got {value!r}")):
+            dip_count(baseline_spectrum, value)
 
     def test_single_lossless_resonance(self):
         net, wg = single_emitter(epsilon=5.0, g=10.0)
@@ -344,7 +350,7 @@ class TestDecouplingEquivalence:
         # the stranded site must be invisible to the photon
         net, wg = preset
         site = 4
-        k = net.site_index(site)
+        k = site - 1
         J = np.array(net.coupling)
         J[k, :] = 0.0
         J[:, k] = 0.0
@@ -355,7 +361,7 @@ class TestDecouplingEquivalence:
         stranded = SiteNetwork(
             n_sites=net.n_sites, epsilon=net.epsilon, coupling=J,
             loss=sum(channels.values()), loss_breakdown=LossBreakdown(**channels),
-            labels=net.labels, reference_energy=net.reference_energy,
+            reference_energy=net.reference_energy,
         )
         removed_net, removed_wg = apply_defect(net, wg, RemoveSite(site))
         a = sweep_spectrum(stranded, wg, preset_grid)

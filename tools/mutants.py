@@ -58,6 +58,8 @@ MUTANTS = [
     # scoring
     Mutant(PKG + "scenarios.py", "DEFAULT_PROMINENCE = 0.01", "DEFAULT_PROMINENCE = 0.012",
            "default prominence 0.01 -> 0.012"),
+    Mutant(PKG + "scenarios.py", '_real_number(prominence, "prominence")', "float(prominence)",
+           "prominence taken by float(), so True counts as 1.0"),
     Mutant(PKG + "scenarios.py", ">= prominence]]", "> prominence]]",
            "prominence >= -> >"),
     Mutant(PKG + "scenarios.py", "return (float(np.sqrt(np.sum(dT ** 2) * h)),",
@@ -89,6 +91,8 @@ MUTANTS = [
            "Fano iteration cap 500 -> 50"),
     Mutant(PKG + "fano.py", "GRADIENT_TOL = 1e-10", "GRADIENT_TOL = 1e-6",
            "Fano gradient tolerance 1e-10 -> 1e-6"),
+    Mutant(PKG + "fano.py", '    e_lo, e_hi = _fit_window(window, "fit window")',
+           "    e_lo, e_hi = window", "fit_fano skips the window rule"),
     # CSV and CLI
     Mutant(PKG + "csvio.py", "_CSV_BLOCK_ROWS = 4096", "_CSV_BLOCK_ROWS = 7",
            "7-row CSV blocks: the block size changes no byte", equivalent=True),
@@ -102,6 +106,10 @@ MUTANTS = [
            "metadata writer allows a line break"),
     Mutant(PKG + "cli.py", "        return 1\n", "        return 2\n",
            "CLI error exit 1 -> 2"),
+    Mutant(PKG + "cli.py", "    if args.window and args.config:", "    if False:",
+           "fano --window with --config accepted, --window ignored"),
+    Mutant(PKG + "cli.py", "OSError, MemoryError)", "OSError)",
+           "MemoryError left out of main's catch"),
 ]
 
 
