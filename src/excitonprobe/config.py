@@ -10,7 +10,6 @@ Syntax errors are reported with the line and column from the JSON parser.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -62,10 +61,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name in (f.name for f in fields(self) if f.type in ("float", float)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"config key {name!r} must be a number, got {value!r}")
-            value = _real_number(value, f"config key {name!r}")
+            value = _real_number(getattr(self, name), f"config key {name!r}")
             if name in _POSITIVE and value <= 0:
                 raise ValueError(f"config key {name!r} must be > 0, got {value!r}")
             if value < 0:

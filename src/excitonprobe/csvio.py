@@ -189,9 +189,16 @@ def _spectrum_from_rows(path, metadata, data) -> Spectrum:
 
 
 def format_fano_table(rows) -> str:
-    """Fano table text: the header, then one line per (label, FanoFit) pair."""
+    """Fano table text: the header, then one line per (label, FanoFit) pair.
+
+    A label is one field of one line, so one with a comma or a line break
+    is a ValueError.
+    """
     lines = [FANO_CSV_HEADER]
     for label, fit in rows:
+        if "," in label or "".join(label.splitlines()) != label:
+            raise ValueError(f"Fano table label {label!r} must not contain "
+                             f"a comma or a line break")
         values = ",".join(f"{getattr(fit, name):.12e}" for name in _FANO_FLOATS)
         lines.append(f"{label},{values},{str(fit.converged).lower()}")
     return "\n".join(lines) + "\n"

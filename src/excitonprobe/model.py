@@ -111,7 +111,8 @@ class SiteNetwork:
     epsilon[n] is the site energy offset from `reference_energy`, coupling is
     the real symmetric inter-site coupling matrix with zero diagonal, and
     loss[n] is the total non-Hermitian width of site n, which must equal the
-    sum of its loss_breakdown channels.
+    sum of its loss_breakdown channels. A network that breaks a rule of
+    validate_network raises NetworkValidationError when it is built.
     """
 
     n_sites: int
@@ -128,6 +129,9 @@ class SiteNetwork:
         object.__setattr__(self, "loss", _frozen_array(self.loss))
         object.__setattr__(self, "reference_energy",
                            _real_number(self.reference_energy, "reference_energy"))
+        violations = validate_network(self)
+        if violations:
+            raise NetworkValidationError(violations)
 
 
 @dataclass(frozen=True)
@@ -223,7 +227,8 @@ def validate_network(net: SiteNetwork) -> list[str]:
     """Check all SiteNetwork invariants; returns one message per violation.
 
     An empty list means the network is well formed. Messages use 1-based
-    site numbers.
+    site numbers. SiteNetwork calls it when built; `net` may be any record
+    with a SiteNetwork's fields.
     """
     violations = []
     n = net.n_sites
@@ -410,11 +415,12 @@ def fmo_preset(
     """Seven-site FMO network probed through sites 1 and 6: the bundled
     site data run through network_from_site_data."""
     try:
-        path = resources.files("excitonprobe.data").joinpath(PRESET_DATA_FILE)
+        # the package this module is in, under whatever name it was imported
+        path = resources.files(__package__) / "data" / PRESET_DATA_FILE
         data = json.loads(path.read_text(encoding="utf-8"))
         return network_from_site_data(data, g1=g1, g6=g6, gamma_dp=gamma_dp, gamma_s=gamma_s,
                                       ohmic_fraction=ohmic_fraction, v_g=v_g)
-    except (OSError, ModuleNotFoundError, json.JSONDecodeError, SiteDataError) as exc:
+    except (OSError, json.JSONDecodeError, SiteDataError) as exc:
         raise PresetDataError(f"preset data file {PRESET_DATA_FILE!r}: {exc}") from exc
 
 

@@ -25,10 +25,10 @@ Both satisfy the exact flux balance 1 - |t|^2 - |r|^2 = sum_n gamma_n
 |xi_n|^2 / v_g and the zero-separation identity r = t - 1; the pair acts as
 a mutual cross-check throughout the test suite.
 
-Each route is one kernel over a stack of energies. The kernel validates the
-network and the ports once, then takes the energies in chunks and forms t,
-r, xi and the flux ledger (T, R, absorption per site and per loss channel)
-as arrays. How a chunk is solved depends on the route and the network size:
+Each route is one kernel over a stack of energies. The kernel checks the ports
+once (a built network is valid), then takes the energies in chunks and forms t,
+r, xi and the flux ledger (T, R, absorption per site and per loss channel) as
+arrays. How a chunk is solved depends on the route and the network size:
 
 * ``direct``, and ``closed_form`` below ``_SCHUR_MIN_SITES`` sites, stack
   the chunk's matrices and solve them with one ``np.linalg.solve`` call
@@ -57,12 +57,11 @@ import numpy as np
 
 from .model import (
     LOSS_CHANNELS,
-    NetworkValidationError,
+    NetworkValidationError,  # what amplitude_vector raises for a port outside the network
     ProbeGrid,
     SiteNetwork,
     WaveguideCoupling,
     network_fingerprint,
-    validate_network,
 )
 
 DEFAULT_GRID_POINTS = 2001
@@ -132,9 +131,6 @@ class Spectrum:
 
 def effective_hamiltonian(net: SiteNetwork) -> np.ndarray:
     """Complex N x N network Hamiltonian with loss on the diagonal."""
-    violations = validate_network(net)
-    if violations:
-        raise NetworkValidationError(violations)
     H = net.coupling.astype(complex)
     np.fill_diagonal(H, net.epsilon - 0.5j * net.loss)
     return H
@@ -209,7 +205,7 @@ def _schur_resolvent(H, w):
 
 
 def _closed_form_kernel(net: SiteNetwork, wg: WaveguideCoupling):
-    """Validate once; returns (amplitudes, bytes per point) for the closed form.
+    """Returns (amplitudes, bytes per point) for the closed form.
 
     amplitudes(energies) finds y = (E - H_eff)^-1 w at each energy, by the
     Schur route from _SCHUR_MIN_SITES sites up and by stacked LU below, and
@@ -230,16 +226,13 @@ def _closed_form_kernel(net: SiteNetwork, wg: WaveguideCoupling):
 
 
 def _direct_kernel(net: SiteNetwork, wg: WaveguideCoupling):
-    """Validate once; returns (amplitudes, bytes per point) for the (N+2)-unknown systems.
+    """Returns (amplitudes, bytes per point) for the (N+2)-unknown systems.
 
     Unknowns are (t, r, xi_1..xi_N). The two photon rows are the jump
     conditions across the coupling point; each site row balances the site
     amplitude against the network couplings and the local photon field
     (t + 1 + r)/2, the mean of its left and right limits.
     """
-    violations = validate_network(net)
-    if violations:
-        raise NetworkValidationError(violations)
     w = wg.amplitude_vector(net.n_sites)
 
     n = net.n_sites
@@ -364,7 +357,7 @@ def sweep_spectrum(net: SiteNetwork, wg: WaveguideCoupling, grid: ProbeGrid,
                    solver: str = "closed_form") -> Spectrum:
     """Evaluate the chosen solver at every grid point.
 
-    The network is validated once; the grid is solved in stacked chunks. A
+    The ports are checked once; the grid is solved in stacked chunks. A
     grid point that lands exactly on a pole is retried once, nudged up by
     1e-9 of the grid spacing; if the nudged point still fails, the PoleError
     propagates, carrying the grid index. A point's value does not depend on

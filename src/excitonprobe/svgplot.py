@@ -38,12 +38,11 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
         if span / step <= target - 1 + 1e-9:
             break
     first = np.ceil(lo / step) * step
-    ticks = []
-    value = first
-    while value <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(value) < 1e-12 * span else float(value))
-        value += step
-    return ticks
+    # tick k sits at first + k * step: a running sum of steps stops moving
+    # where step is below the float spacing of the values
+    count = int((hi + 1e-9 * span - first) // step) + 1
+    return [0.0 if abs(value) < 1e-12 * span else float(value)
+            for value in first + step * np.arange(count)]
 
 
 def _fmt(value: float) -> str:

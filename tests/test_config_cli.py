@@ -64,7 +64,7 @@ class TestParseConfig:
 
     def test_boolean_is_not_a_number(self, tmp_path):
         path = write_config(tmp_path, g1=True)
-        with pytest.raises(ConfigError, match="must be a number"):
+        with pytest.raises(ConfigError, match="must be a real number, got True"):
             parse_config(path)
 
     def test_negative_amplitude_rejected(self, tmp_path):
@@ -737,6 +737,22 @@ class TestCliFano:
         captured = capsys.readouterr()
         assert "--label" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("label", ["a,b", "x\ny", "x\r", "x\u2028y"])
+    def test_label_that_would_split_a_row_is_an_error(self, spectrum_setup, tmp_path,
+                                                      capsys, label):
+        cfg, out = spectrum_setup
+        run_cli("spectrum", "--config", cfg)
+        capsys.readouterr()
+        table = tmp_path / "fits.csv"
+        rc = run_cli("fano", "--spectrum", str(out / "baseline.csv"), "--window", "540,700",
+                     "--label", label, "--out", str(table))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: Fano table label {label!r} must not contain "
+                                f"a comma or a line break\n")
+        assert captured.out == ""
+        assert not table.exists()
 
     def test_window_and_config_are_exclusive(self, spectrum_setup, tmp_path, capsys):
         # the config is not read, so a missing one must not go unnoticed either

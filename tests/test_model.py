@@ -1,6 +1,12 @@
 import dataclasses
+import os
 import re
+import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,6 +96,29 @@ def loop_validate_network(net):
     return violations
 
 
+def checked_violations(**fields):
+    """validate_network's messages for a record of these SiteNetwork fields.
+
+    SiteNetwork refuses to be built with a violation, so the record checked
+    is duck-typed. Its messages must match loop_validate_network's, and
+    SiteNetwork(**fields) must raise NetworkValidationError with the same
+    list, or build when the list is empty.
+    """
+    record = SimpleNamespace(**fields)
+    for name in ("epsilon", "coupling", "loss"):
+        setattr(record, name, np.array(fields[name], dtype=float))
+    msgs = validate_network(record)
+    with np.errstate(invalid="ignore"):  # the loop sums inf + -inf unguarded
+        assert loop_validate_network(record) == msgs
+    if not msgs:
+        SiteNetwork(**fields)
+        return msgs
+    with pytest.raises(NetworkValidationError) as err:
+        SiteNetwork(**fields)
+    assert err.value.violations == msgs
+    return msgs
+
+
 # Values that sit on an edge of some check: non-finite, signed zero, the
 # smallest negative subnormal, and differences just inside and outside the
 # 1e-12 loss tolerance.
@@ -163,6 +192,18 @@ class TestSiteNetwork:
     def test_numpy_integer_site_count_stored_as_int(self):
         net = dataclasses.replace(small_network(3), n_sites=np.int64(3))
         assert type(net.n_sites) is int and validate_network(net) == []
+
+    def test_every_builder_refuses_a_violation(self, preset):
+        net, wg = preset
+        J = np.array(net.coupling)
+        J[0, 1] += 1.0
+        with pytest.raises(NetworkValidationError, match=r"^asymmetric coupling \(1,2\)$"):
+            dataclasses.replace(net, coupling=J)
+        # a port amplitude of 1e200 gives an Ohmic loss that overflows to inf
+        with pytest.raises(NetworkValidationError, match="^non-finite values in loss$"):
+            rebuild_port_losses(net, wg, WaveguideCoupling(ports=((1, 1e200), (6, 10.0))))
+        with pytest.raises(NetworkValidationError, match="^non-finite values in loss$"):
+            fmo_preset(g1=1e200)  # network_from_site_data
 
 
 class TestWaveguideCoupling:
@@ -273,50 +314,47 @@ class TestValidateNetwork:
         J = np.array(net.coupling)
         J[0, 1] = 1.0
         J[1, 0] = 2.0
-        bad = SiteNetwork(
+        msgs = checked_violations(
             n_sites=3, epsilon=net.epsilon, coupling=J,
             loss=net.loss, loss_breakdown=net.loss_breakdown,
         )
-        msgs = validate_network(bad)
         assert any("asymmetric coupling (1,2)" in m for m in msgs)
 
     def test_loss_mismatch_reported(self):
         net = small_network(3)
-        bad = SiteNetwork(
+        msgs = checked_violations(
             n_sites=3, epsilon=net.epsilon, coupling=net.coupling,
             loss=np.array([1.0, 0.0, 0.0]), loss_breakdown=net.loss_breakdown,
         )
-        msgs = validate_network(bad)
         assert any("mismatch at site 1" in m for m in msgs)
 
     def test_nonzero_diagonal_reported(self):
         net = small_network(2)
         J = np.array(net.coupling)
         J[0, 0] = 3.0
-        bad = SiteNetwork(
+        msgs = checked_violations(
             n_sites=2, epsilon=net.epsilon, coupling=J,
             loss=net.loss, loss_breakdown=net.loss_breakdown,
         )
-        assert any("diagonal at site 1" in m for m in validate_network(bad))
+        assert any("diagonal at site 1" in m for m in msgs)
 
     def test_negative_channel_reported(self):
         n = 2
         bd = LossBreakdown(dephasing=[-1.0, 0.0], ohmic=[0.0, 0.0], sink=[0.0, 0.0])
-        bad = SiteNetwork(
+        msgs = checked_violations(
             n_sites=n, epsilon=np.zeros(n), coupling=np.zeros((n, n)),
             loss=bd.total(), loss_breakdown=bd,
         )
-        assert any("negative dephasing loss at site 1" in m for m in validate_network(bad))
+        assert any("negative dephasing loss at site 1" in m for m in msgs)
 
     def test_opposite_infinite_channels_reported_without_warning(self):
         # inf + -inf at one site sums to NaN: a mismatch, not a RuntimeWarning
         n = 2
         bd = LossBreakdown(dephasing=[np.inf, 0.0], ohmic=[-np.inf, 0.0], sink=np.zeros(n))
-        bad = SiteNetwork(n_sites=n, epsilon=np.zeros(n), coupling=np.zeros((n, n)),
-                          loss=np.zeros(n), loss_breakdown=bd)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            msgs = validate_network(bad)
+            msgs = checked_violations(n_sites=n, epsilon=np.zeros(n), coupling=np.zeros((n, n)),
+                                      loss=np.zeros(n), loss_breakdown=bd)
         assert msgs == ["negative ohmic loss at site 1", "loss_breakdown mismatch at site 1"]
 
     def test_messages_keep_the_loop_order(self):
@@ -332,9 +370,8 @@ class TestValidateNetwork:
         loss = bd.total()
         loss[1] += 1.0
         loss[3] = -1.0
-        bad = SiteNetwork(n_sites=n, epsilon=np.zeros(n), coupling=J,
-                          loss=loss, loss_breakdown=bd)
-        assert validate_network(bad) == [
+        assert checked_violations(n_sites=n, epsilon=np.zeros(n), coupling=J,
+                                  loss=loss, loss_breakdown=bd) == [
             "non-finite values in coupling",
             "asymmetric coupling (1,3)",
             "nonzero coupling diagonal at site 2",
@@ -360,9 +397,8 @@ class TestValidateNetwork:
             index = (i % n, j % n) if target == "coupling" else i % n
             arrays[target][index] = value
         bd = LossBreakdown(**{name: arrays[name] for name in LOSS_CHANNELS})
-        bad = SiteNetwork(n_sites=n, epsilon=arrays["epsilon"], coupling=arrays["coupling"],
-                          loss=arrays["loss"], loss_breakdown=bd)
-        assert validate_network(bad) == loop_validate_network(bad)
+        checked_violations(n_sites=n, epsilon=arrays["epsilon"], coupling=arrays["coupling"],
+                           loss=arrays["loss"], loss_breakdown=bd)
 
     @pytest.mark.parametrize("changes, message", [
         ({"n_sites": 0, "epsilon": np.zeros(0), "coupling": np.zeros((0, 0)),
@@ -377,15 +413,15 @@ class TestValidateNetwork:
         bd = LossBreakdown.zeros(3)
         fields = dict(n_sites=3, epsilon=np.zeros(3), coupling=np.zeros((3, 3)),
                       loss=bd.total(), loss_breakdown=bd)
-        assert validate_network(SiteNetwork(**{**fields, **changes})) == [message]
+        assert checked_violations(**{**fields, **changes}) == [message]
 
     def test_shape_mismatch_reported(self):
         bd = LossBreakdown.zeros(3)
-        bad = SiteNetwork(
+        msgs = checked_violations(
             n_sites=3, epsilon=np.zeros(2), coupling=np.zeros((3, 3)),
             loss=bd.total(), loss_breakdown=bd,
         )
-        assert any("epsilon shape" in m for m in validate_network(bad))
+        assert any("epsilon shape" in m for m in msgs)
 
 
 class TestFingerprint:
@@ -452,6 +488,19 @@ class TestPreset:
 
     def test_preset_error_type(self):
         assert issubclass(PresetDataError, RuntimeError)
+
+    def test_copy_under_another_name_reads_its_own_data(self, preset, tmp_path):
+        shutil.copytree(Path(model.__file__).parent, tmp_path / "excitonprobe_b",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        probe = ("import sys, excitonprobe_b as p; "
+                 "print(p.network_fingerprint(p.fmo_preset()[0])); "
+                 "assert 'excitonprobe' not in sys.modules")
+        # the copy alone on the path: the original tree cannot be imported
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == network_fingerprint(preset[0]) + "\n"
 
 
 class TestRebuildPortLosses:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from randnets import random_instance, random_network, single_emitter, single_emitter_transmission
 
-from excitonprobe import scattering
+from excitonprobe import model, scattering
 
 from excitonprobe.model import (
     LossBreakdown,
@@ -200,26 +202,26 @@ class TestPoleHandling:
 
 
 class TestValidationErrors:
+    # an invalid network is refused when it is built, so it never reaches a kernel
     def test_invalid_network_is_rejected(self):
         bd = LossBreakdown.zeros(2)
         J = np.zeros((2, 2))
         J[0, 1] = 1.0  # deliberately asymmetric
-        net = SiteNetwork(
-            n_sites=2, epsilon=np.zeros(2), coupling=J,
-            loss=bd.total(), loss_breakdown=bd,
-        )
         with pytest.raises(NetworkValidationError) as err:
-            effective_hamiltonian(net)
+            effective_hamiltonian(SiteNetwork(
+                n_sites=2, epsilon=np.zeros(2), coupling=J,
+                loss=bd.total(), loss_breakdown=bd,
+            ))
         assert any("asymmetric" in v for v in err.value.violations)
 
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     def test_each_solver_names_the_violation(self, solver):
         bd = LossBreakdown.zeros(2)
         J = np.array([[0.0, 1.0], [0.0, 0.0]])  # deliberately asymmetric
-        net = SiteNetwork(n_sites=2, epsilon=np.zeros(2), coupling=J,
-                          loss=bd.total(), loss_breakdown=bd)
         with pytest.raises(NetworkValidationError) as err:
-            SOLVERS[solver](net, WaveguideCoupling(ports=((1, 1.0),)), 0.0)
+            SOLVERS[solver](SiteNetwork(n_sites=2, epsilon=np.zeros(2), coupling=J,
+                                        loss=bd.total(), loss_breakdown=bd),
+                            WaveguideCoupling(ports=((1, 1.0),)), 0.0)
         assert str(err.value) == "asymmetric coupling (1,2)"
 
     def test_port_outside_network_is_rejected(self):
@@ -393,18 +395,22 @@ class TestKernel:
         assert err.value.energy == grid.energies()[77]
 
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
-    def test_network_validated_once_per_sweep(self, preset, preset_grid, monkeypatch, solver):
+    def test_network_validated_when_built_not_per_sweep(self, preset, preset_grid,
+                                                         monkeypatch, solver):
         calls = []
-        real = scattering.validate_network
+        real = model.validate_network
 
         def counting(net):
             calls.append(net)
             return real(net)
 
-        monkeypatch.setattr(scattering, "validate_network", counting)
+        monkeypatch.setattr(model, "validate_network", counting)
         net, wg = preset
-        sweep_spectrum(net, wg, preset_grid, solver=solver)
+        built = dataclasses.replace(net)
+        assert len(calls) == 1 and calls[0] is built
+        sweep_spectrum(built, wg, preset_grid, solver=solver)
         assert len(calls) == 1
+        assert not hasattr(scattering, "validate_network")
 
     @pytest.mark.parametrize("solver", sorted(SOLVERS))
     def test_kernel_uses_only_numpy_1_forms(self, preset, monkeypatch, solver):

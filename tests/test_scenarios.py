@@ -13,8 +13,8 @@ from randnets import single_emitter
 
 from excitonprobe import scenarios
 from excitonprobe.model import (
-    LossBreakdown, ProbeGrid, SiteNetwork, WaveguideCoupling, fmo_preset,
-    network_fingerprint,
+    LossBreakdown, NetworkValidationError, ProbeGrid, SiteNetwork, WaveguideCoupling,
+    fmo_preset, network_fingerprint,
 )
 from excitonprobe.scattering import default_grid, sweep_spectrum
 from excitonprobe.scenarios import (
@@ -169,6 +169,15 @@ class TestApplyPortRetune:
         diff = spectral_difference(sweep_spectrum(net, wg, grid),
                                    sweep_spectrum(new_net, new_wg, grid))
         assert diff.as_dict() == {"l2": 0.0, "l_inf": 0.0, "area": 0.0, "extrema_delta": 0}
+
+    def test_retune_to_an_infinite_loss_is_refused(self, preset, preset_grid):
+        # g = 1e200 gives an Ohmic loss of inf: the defected network is never built
+        net, wg = preset
+        scenario = SetPortAmplitudes(((1, 1e200),))
+        with pytest.raises(NetworkValidationError, match="^non-finite values in loss$"):
+            apply_defect(net, wg, scenario)
+        entry, = run_scenario_suite(net, wg, preset_grid, [scenario])["scenarios"]
+        assert entry["error"] == "NetworkValidationError: non-finite values in loss"
 
     @pytest.mark.parametrize("scenario", [RemoveSite(5), SetPortAmplitudes(((1, 10.0), (6, 0.1)))])
     def test_defects_keep_the_wire(self, scenario):

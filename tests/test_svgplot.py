@@ -1,7 +1,13 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import excitonprobe
 from excitonprobe import RemoveSite, apply_defect, default_grid, fmo_preset, sweep_spectrum
 from excitonprobe.svgplot import render_overlay
 
@@ -38,3 +44,33 @@ class TestPinnedBytes:
         assert "remove &lt;site 5&gt; &amp; \"J\"" in svg
         assert len(svg) == 13238
         assert sha256(svg) == "8643144495780c0758ac2959191d712eeb609d0ca0b26afe3e8382e2e65a17e0"
+
+
+# Runs in a child capped at 2 GiB of address space: a tick loop that never
+# ends grows its list until MemoryError, or the parent's timeout stops it.
+TICK_PROBE = """
+import resource, sys
+cap = 2 * 2 ** 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from excitonprobe.cli import main
+from excitonprobe.svgplot import _nice_ticks
+print(len(_nice_ticks(1e16, 1e16 + 2)))
+sys.exit(main(["spectrum", "--config", sys.argv[1], "--svg"]))
+"""
+
+
+class TestTicks:
+    def test_step_below_the_float_spacing_ends(self, tmp_path):
+        # one ulp of 12000 is 1.8e-12 cm^-1, far below any tick step a sum could add
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "grid": {"e_min": 12000, "e_max": 12000.000000000002, "n_points": 2},
+            "output_dir": str(tmp_path / "out")}))
+        src = str(Path(excitonprobe.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", TICK_PROBE, str(config)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "5"
+        assert (tmp_path / "out" / "baseline.svg").exists()

@@ -53,6 +53,9 @@ MUTANTS = [
            "an extra 1e-9 sink on site 4"),
     Mutant(PKG + "model.py", 'if data.get("units", "cm-1") != "cm-1":', "if False:",
            "a site-data file's units ignored"),
+    Mutant(PKG + "model.py", "        violations = validate_network(self)\n        if violations:",
+           "        violations = validate_network(self)\n        if False:",
+           "SiteNetwork built without its validation"),
     Mutant(PKG + "scenarios.py", "        J[j, i] = 0.0\n", "",
            "an inhibit that cuts only J[i, j]"),
     # scoring
@@ -104,6 +107,9 @@ MUTANTS = [
            "metadata writer allows '=' in a key or surrounding whitespace"),
     Mutant(PKG + "csvio.py", r'any(c in line for c in "\r\n")', "False",
            "metadata writer allows a line break"),
+    Mutant(PKG + "csvio.py", 'if "," in label or "".join(label.splitlines()) != label:',
+           "if False:", "Fano table label with a comma or a line break accepted"),
+    Mutant(PKG + "svgplot.py", "// step) + 1", "// step)", "one tick too few"),
     Mutant(PKG + "cli.py", "        return 1\n", "        return 2\n",
            "CLI error exit 1 -> 2"),
     Mutant(PKG + "cli.py", "    if args.window and args.config:", "    if False:",
