@@ -69,22 +69,31 @@ def write_spectrum_csv(path, spec: Spectrum):
     keys += sorted((key for key in spec.metadata if key not in _META), key=str)
     lines = [_meta_line(key, spec.metadata[key]) for key in keys]
     lines.append(CSV_HEADER)
-    data = np.column_stack((spec.energies, spec.T, spec.R, spec.A_total,
-                            *(spec.A_channels[name] for name in _CSV_CHANNELS)))
+    columns = (spec.energies, spec.T, spec.R, spec.A_total,
+               *(spec.A_channels[name] for name in _CSV_CHANNELS))
     with _open_text(path) as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.writelines(format_rows(_CSV_ROW, data))
+        fh.writelines(format_rows(_CSV_ROW, [col[rows] for col in columns])
+                      for rows in _row_blocks(len(columns[0])))
 
 
-def format_rows(row_format, data):
-    """Yield the text of row_format % row for each row of the 2-D array data.
+def _row_blocks(n_rows):
+    """Yield the slices that cover n_rows rows, _CSV_BLOCK_ROWS rows each.
 
-    Each block of _CSV_BLOCK_ROWS rows is formatted by one % call, so a long
-    array never holds all its row text and floats at once.
+    A writer that formats one block at a time never holds all its row text
+    and floats at once.
     """
-    for start in range(0, len(data), _CSV_BLOCK_ROWS):
-        block = data[start:start + _CSV_BLOCK_ROWS]
-        yield (row_format * len(block)) % tuple(block.ravel().tolist())
+    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+        yield slice(start, start + _CSV_BLOCK_ROWS)
+
+
+def format_rows(row_format, columns):
+    """The text of row_format % row for each row of the equal-length 1-D columns.
+
+    One % call formats every row, so a caller passes a block of rows at a time.
+    """
+    rows = np.column_stack(columns)
+    return (row_format * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def read_spectrum_csv(path) -> Spectrum:
@@ -179,11 +188,11 @@ def _spectrum_from_rows(path, metadata, data) -> Spectrum:
     grid = ProbeGrid(e_min=float(energies[0]), e_max=float(energies[-1]),
                      n_points=len(data))
 
-    _, T, R, A_total, *absorbed = (np.ascontiguousarray(col) for col in data.T)
+    # columns are views of the parsed table, read-only as it is
+    data.flags.writeable = False
+    _, T, R, A_total, *absorbed = data.T
     by_channel = dict(zip(_CSV_CHANNELS, absorbed))
     channels = {name: by_channel[name] for name in LOSS_CHANNELS}
-    for arr in (T, R, A_total, *channels.values()):
-        arr.flags.writeable = False
     return Spectrum(grid=grid, T=T, R=R, A_total=A_total, A_channels=channels,
                     metadata=metadata)
 

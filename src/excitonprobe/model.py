@@ -214,6 +214,10 @@ class ProbeGrid:
         if not math.isfinite(self.e_max - self.e_min):
             raise ValueError(f"grid range [{self.e_min}, {self.e_max}] is too wide: "
                              f"e_max - e_min overflows")
+        if self.spacing < np.finfo(float).tiny:
+            raise ValueError(f"grid range [{self.e_min}, {self.e_max}] is too narrow for "
+                             f"{self.n_points} points: spacing {self.spacing!r} is below "
+                             f"the smallest normal float")
 
     @property
     def spacing(self) -> float:

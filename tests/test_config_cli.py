@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -508,6 +509,20 @@ class TestCliSpectrum:
                                 "e_max - e_min overflows\n")
         assert captured.out == ""
 
+    def test_subnormal_grid_spacing_is_one_error_line(self, tmp_path, capsys):
+        # once the CSV was written, the SVG's tick step came out NaN
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"),
+                           grid={"e_min": 0, "e_max": 5e-324, "n_points": 2})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("spectrum", "--config", cfg, "--svg") == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == ("error: grid: grid range [0.0, 5e-324] is too narrow for "
+                                "2 points: spacing 5e-324 is below the smallest normal float\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_overflowing_port_width_is_one_error_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, g1=1e200, output_dir=str(tmp_path / "out"))
         assert run_cli("spectrum", "--config", cfg) == 1
@@ -819,17 +834,25 @@ class TestCliFano:
 SCIPY_PROBE = """
 import json, sys
 
+# the XML, network and crypto stack: xml.sax.saxutils alone loads the other four
+HEAVY = ("xml.sax", "urllib.request", "http.client", "ssl", "email")
+
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def heavy_modules():
+    return [m for m in HEAVY if m in sys.modules]
 
 import excitonprobe
 from excitonprobe.cli import main
 
 assert not scipy_modules(), scipy_modules()[:5]
+assert not heavy_modules(), heavy_modules()
 seven_site, sixteen_site = json.loads(sys.argv[1])
 for argv in seven_site:
     assert main(argv) == 0, argv
     assert not scipy_modules(), (argv, scipy_modules()[:5])
+    assert not heavy_modules(), (argv, heavy_modules())
 assert main(sixteen_site) == 0
 assert "scipy.linalg" in sys.modules
 """

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from excitonprobe.csvio import (
 from excitonprobe.fano import FanoFit
 from excitonprobe.model import ProbeGrid
 from excitonprobe.scattering import Spectrum, default_grid, sweep_spectrum
+from excitonprobe.svgplot import write_overlay
 
 
 @pytest.fixture()
@@ -359,6 +361,51 @@ class TestReaderValidation:
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError, match="uniform increasing grid"):
             read_spectrum_csv(str(p))
+
+
+def allocation_peak(call):
+    """Bytes allocated at the peak of call(), above those allocated at its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """An output stage holds one block of rows on top of the Spectrum it reads
+    or returns: its peak grows with the grid by a few float columns at most."""
+
+    SIZES = (10001, 30001)
+
+    @pytest.fixture(scope="class")
+    def outputs(self, preset, tmp_path_factory):
+        """(spectrum, CSV path) per grid size; each CSV is already written."""
+        net, wg = preset
+        out = {}
+        for n in self.SIZES:
+            spec = sweep_spectrum(net, wg, default_grid(net, n_points=n))
+            path = tmp_path_factory.mktemp("memory") / "baseline.csv"
+            write_spectrum_csv(str(path), spec)
+            out[n] = spec, path
+        return out
+
+    # stage -> (bytes per added grid point allowed, the call on a spectrum and its CSV)
+    STAGES = {
+        "write_spectrum_csv": (16, lambda spec, path: write_spectrum_csv(str(path), spec)),
+        "write_overlay": (24, lambda spec, path: write_overlay(str(path.with_suffix(".svg")),
+                                                               spec)),
+        "read_spectrum_csv": (72, lambda spec, path: read_spectrum_csv(str(path))),
+    }
+
+    @pytest.mark.parametrize("stage", list(STAGES))
+    def test_peak_grows_by_a_few_columns_per_point(self, outputs, stage):
+        per_point, call = self.STAGES[stage]
+        small, large = (allocation_peak(lambda: call(*outputs[n])) for n in self.SIZES)
+        growth = (large - small) / (self.SIZES[1] - self.SIZES[0])
+        assert growth <= per_point, f"{stage}: {growth:.1f} B per grid point"
 
 
 class TestFanoCsv:

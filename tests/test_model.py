@@ -300,6 +300,18 @@ class TestProbeGrid:
         with pytest.raises(ValueError, match=re.escape(message)):
             ProbeGrid(-1e308, 1e308, 5)
 
+    @pytest.mark.parametrize("e_max, n_points, spacing", [
+        (5e-324, 2, "5e-324"), (1e-300, 10 ** 10 + 1, "1e-310")])
+    def test_subnormal_spacing_rejected(self, e_max, n_points, spacing):
+        message = (f"grid range [0.0, {e_max}] is too narrow for {n_points} points: "
+                   f"spacing {spacing} is below the smallest normal float")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ProbeGrid(0.0, e_max, n_points)
+
+    def test_smallest_normal_spacing_accepted(self):
+        tiny = np.finfo(float).tiny
+        assert ProbeGrid(0.0, tiny, 2).spacing == tiny
+
 
 class TestValidateNetwork:
     def test_clean_network_has_no_violations(self):

@@ -9,7 +9,7 @@ import pytest
 
 import excitonprobe
 from excitonprobe import RemoveSite, apply_defect, default_grid, fmo_preset, sweep_spectrum
-from excitonprobe.svgplot import render_overlay
+from excitonprobe.svgplot import _nice_ticks, render_overlay
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +74,14 @@ class TestTicks:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == "5"
         assert (tmp_path / "out" / "baseline.svg").exists()
+
+    @pytest.mark.parametrize("lo, hi, labels", [
+        # two decimals made 1.985, 1.99, 1.995 and 2.0 read 1.99, 1.99, 2 and 2
+        (1.98328, 2.00372, ["1.985", "1.99", "1.995", "2"]),
+        # a whole step keeps the zeros before any decimal point
+        (0.0, 2000.0, ["0", "500", "1000", "1500", "2000"]),
+    ], ids=["step-0.005", "step-500"])
+    def test_label_has_the_decimals_of_the_step(self, lo, hi, labels):
+        ticks = _nice_ticks(lo, hi)
+        assert [label for _, label in ticks] == labels
+        assert all(float(label) == pytest.approx(value, rel=1e-12) for value, label in ticks)

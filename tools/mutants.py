@@ -53,6 +53,8 @@ MUTANTS = [
            "an extra 1e-9 sink on site 4"),
     Mutant(PKG + "model.py", 'if data.get("units", "cm-1") != "cm-1":', "if False:",
            "a site-data file's units ignored"),
+    Mutant(PKG + "model.py", "if self.spacing < np.finfo(float).tiny:", "if False:",
+           "a grid with a subnormal spacing accepted"),
     Mutant(PKG + "model.py", "        violations = validate_network(self)\n        if violations:",
            "        violations = validate_network(self)\n        if False:",
            "SiteNetwork built without its validation"),
@@ -109,7 +111,19 @@ MUTANTS = [
            "metadata writer allows a line break"),
     Mutant(PKG + "csvio.py", 'if "," in label or "".join(label.splitlines()) != label:',
            "if False:", "Fano table label with a comma or a line break accepted"),
+    Mutant(PKG + "csvio.py", "slice(start, start + _CSV_BLOCK_ROWS)",
+           "slice(start, start + _CSV_BLOCK_ROWS + 1)",
+           "each block of rows one row too long"),
     Mutant(PKG + "svgplot.py", "// step) + 1", "// step)", "one tick too few"),
+    Mutant(PKG + "svgplot.py", "decimals = max(0, -math.floor(math.log10(step) + 1e-9))",
+           "decimals = max(0, -math.floor(math.log10(step) + 1e-9) - 1)",
+           "tick labels one decimal short"),
+    Mutant(PKG + "svgplot.py",
+           'text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")',
+           'text.replace("<", "&lt;").replace(">", "&gt;").replace("&", "&amp;")',
+           "'&' escaped last, so '<' comes out as '&amp;lt;'"),
+    Mutant(PKG + "svgplot.py", "import math\n", "import math\nimport xml.sax.saxutils\n",
+           "svgplot imports the XML stack, and with it ssl and http"),
     Mutant(PKG + "cli.py", "        return 1\n", "        return 2\n",
            "CLI error exit 1 -> 2"),
     Mutant(PKG + "cli.py", "    if args.window and args.config:", "    if False:",
