@@ -48,6 +48,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
     decimals = max(0, -math.floor(math.log10(step) + 1e-9))
     values = [0.0 if abs(value) < 1e-12 * span else float(value)
               for value in first + step * np.arange(count)]
+    # below the float spacing several ticks round to one position; the first stays
+    values = list(dict.fromkeys(values))
     return [(value, _fmt(value, decimals)) for value in values]
 
 

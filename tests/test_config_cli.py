@@ -830,7 +830,7 @@ class TestCliFano:
 
 
 # Runs the CLI commands given as JSON in argv[1] in one fresh interpreter:
-# the 7-site ones must not import scipy, the 16-site one (Schur route) must.
+# no command imports scipy, not even the 16-site one (Schur route).
 SCIPY_PROBE = """
 import json, sys
 
@@ -854,7 +854,7 @@ for argv in seven_site:
     assert not scipy_modules(), (argv, scipy_modules()[:5])
     assert not heavy_modules(), (argv, heavy_modules())
 assert main(sixteen_site) == 0
-assert "scipy.linalg" in sys.modules
+assert not scipy_modules(), scipy_modules()[:5]
 """
 
 

@@ -443,35 +443,54 @@ class TestKernel:
 
 
 
+def embedded_network(rng, n, coupling, dephasing):
+    """The block `coupling` (sites at 0 cm^-1, widths `dephasing`) as sites 1..k,
+    then a randnets network of the other n - k sites, not coupled to it."""
+    k = len(dephasing)
+    rest, _ = random_network(rng, n - k)
+    J = np.zeros((n, n))
+    J[:k, :k] = coupling
+    J[k:, k:] = rest.coupling
+    block = {"dephasing": dephasing, "ohmic": np.zeros(k), "sink": np.zeros(k)}
+    bd = LossBreakdown(**{name: np.concatenate([block[name], getattr(rest.loss_breakdown, name)])
+                          for name in block})
+    net = SiteNetwork(n_sites=n, epsilon=np.concatenate([np.zeros(k), rest.epsilon]),
+                      coupling=J, loss=bd.total(), loss_breakdown=bd)
+    return net, WaveguideCoupling(ports=((1, 3.0), (3, 2.0)))
+
+
 def exceptional_point_network(rng, n=20):
     """Sites 1 and 2 at an exceptional point of H_eff; the other n - 2 random.
 
     Both sites sit at 0 cm^-1 with widths 40 and 0, and J12 = (40 - 0)/4, so
     the pair's two eigenvalues and eigenvectors of H_eff coalesce at -10i.
-    Sites 3..n are a randnets network, not coupled to the pair.
     """
-    rest, _ = random_network(rng, n - 2)
-    coupling = np.zeros((n, n))
-    coupling[0, 1] = coupling[1, 0] = 10.0
-    coupling[2:, 2:] = rest.coupling
-    pair = {"dephasing": [40.0, 0.0], "ohmic": [0.0, 0.0], "sink": [0.0, 0.0]}
-    bd = LossBreakdown(**{name: np.concatenate([pair[name], getattr(rest.loss_breakdown, name)])
-                          for name in pair})
-    net = SiteNetwork(n_sites=n, epsilon=np.concatenate([[0.0, 0.0], rest.epsilon]),
-                      coupling=coupling, loss=bd.total(), loss_breakdown=bd)
-    return net, WaveguideCoupling(ports=((1, 3.0), (3, 2.0)))
+    return embedded_network(rng, n, [[0.0, 10.0], [10.0, 0.0]], np.array([40.0, 0.0]))
+
+
+def third_order_exceptional_point_network(rng, n=16):
+    """Sites 1-3, a chain with J = 10 cm^-1, at a third-order exceptional point.
+
+    Widths 0, 2 sqrt(2) J and 4 sqrt(2) J make the chain's H_eff -i sqrt(2) J
+    plus a chain with gain and loss +-i sqrt(2) J at its ends, whose three
+    eigenvalues and eigenvectors coalesce: H_eff has one eigenvalue
+    -i sqrt(2) J of multiplicity three. The other n - 3 sites are random.
+    """
+    J = 10.0
+    chain = [[0.0, J, 0.0], [J, 0.0, J], [0.0, J, 0.0]]
+    return embedded_network(rng, n, chain, np.sqrt(2.0) * J * np.array([0.0, 2.0, 4.0]))
 
 
 def schur_calls(monkeypatch):
-    """Record the size of every matrix handed to scipy.linalg.schur."""
+    """Record the size of every matrix handed to scattering._schur_form."""
     calls = []
-    real = scipy.linalg.schur
+    real = scattering._schur_form
 
-    def counting(a, *args, **kwargs):
-        calls.append(len(a))
-        return real(a, *args, **kwargs)
+    def counting(H):
+        calls.append(len(H))
+        return real(H)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    monkeypatch.setattr(scattering, "_schur_form", counting)
     return calls
 
 
@@ -522,6 +541,66 @@ class TestSchurRoute:
         grid = ProbeGrid(-80.0, 80.0, 2 * chunk_rows(n) + 19)
         want = point_ledgers(solve_direct, net, wg, grid.energies())
         got = sweep_ledgers(sweep_spectrum(net, wg, grid))
+        for key in want:
+            assert np.max(np.abs(got[key] - want[key])) < 1e-10, key
+
+
+def assert_schur_form(H, order=1):
+    """_schur_form(H) is a Schur form with LAPACK's backward error.
+
+    Its diagonal holds H's eigenvalues, checked against scipy's as an oracle:
+    a k-fold defective eigenvalue (order k) moves by up to the k-th root of a
+    relative perturbation, so the tolerance is (2 n eps)^(1/k) ||H||_F.
+    """
+    form = scattering._schur_form(H)
+    assert form is not None
+    T, Z = form
+    n, eps, norm = len(H), np.finfo(float).eps, np.linalg.norm(H)
+    assert np.array_equal(T, np.triu(T))
+    assert np.linalg.norm(Z @ T @ Z.conj().T - H) <= n * eps * norm
+    assert np.linalg.norm(Z.conj().T @ Z - np.eye(n)) <= n * eps
+    distance = np.abs(np.diag(T)[:, None] - scipy.linalg.eigvals(H)[None, :])
+    tol = (2 * n * eps) ** (1 / order) * norm
+    assert distance.min(axis=0).max() <= tol and distance.min(axis=1).max() <= tol
+
+
+class TestSchurForm:
+    """The numpy Schur form, and the LU solve that takes over where it is not found."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(_SCHUR_MIN_SITES, 60),
+           lossless=st.booleans())
+    def test_random_networks(self, seed, n, lossless):
+        net, _ = random_network(np.random.default_rng(seed), n, lossless)
+        assert_schur_form(effective_hamiltonian(net))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exceptional_point(self, seed):
+        net, _ = exceptional_point_network(np.random.default_rng(seed))
+        assert_schur_form(effective_hamiltonian(net), order=2)
+
+    @pytest.mark.parametrize("n", [_SCHUR_MIN_SITES, 40])
+    def test_third_order_exceptional_point(self, rng, n):
+        net, _ = third_order_exceptional_point_network(rng, n)
+        H = effective_hamiltonian(net)
+        assert np.linalg.cond(np.linalg.eig(H)[1]) > 1e9
+        assert_schur_form(H, order=3)
+
+    def test_noisy_eigenvectors_fall_back_to_lu(self, rng, monkeypatch):
+        n = 20
+        net, wg = random_network(rng, n)
+        real_eig = np.linalg.eig
+
+        def noisy_eig(a):
+            lam, V = real_eig(a)
+            return lam, V + 1e-6 * rng.standard_normal(V.shape)
+
+        monkeypatch.setattr(scattering.np.linalg, "eig", noisy_eig)
+        assert scattering._schur_form(effective_hamiltonian(net)) is None
+        assert _KERNELS["closed_form"](net, wg)[1] == 16 * n * n
+        grid = ProbeGrid(-80.0, 80.0, 2 * chunk_rows(n) + 19)
+        got = sweep_ledgers(sweep_spectrum(net, wg, grid))
+        want = point_ledgers(solve_direct, net, wg, grid.energies())
         for key in want:
             assert np.max(np.abs(got[key] - want[key])) < 1e-10, key
 

@@ -87,6 +87,11 @@ MUTANTS = [
            "(b[k] + z[:, k + 1:] @ T[k, k + 1:])", "Schur back substitution in gemv form"),
     Mutant(PKG + "scattering.py", "b = Z.conj().T @ w", "b = Z.T @ w",
            "missing conjugate in the Schur right-hand side"),
+    Mutant(PKG + "scattering.py",
+           "if np.linalg.norm(np.tril(T, -1)) > n * np.finfo(float).eps * np.linalg.norm(H):",
+           "if False:", "Schur form kept without its backward-error test"),
+    Mutant(PKG + "scattering.py", "Z = np.linalg.qr(V)[0]", "Z = V",
+           "eigenvectors taken as the Schur basis: every form falls back to LU"),
     Mutant(PKG + "scattering.py", '        "port_widths": wg.port_widths(),\n', "",
            "port_widths metadata dropped"),
     Mutant(PKG + "scattering.py", "_CHUNK_BYTES = 2 ** 20", "_CHUNK_BYTES = 2 ** 18",
@@ -115,6 +120,8 @@ MUTANTS = [
            "slice(start, start + _CSV_BLOCK_ROWS + 1)",
            "each block of rows one row too long"),
     Mutant(PKG + "svgplot.py", "// step) + 1", "// step)", "one tick too few"),
+    Mutant(PKG + "svgplot.py", "    values = list(dict.fromkeys(values))\n", "",
+           "ticks repeated where the step is below the float spacing"),
     Mutant(PKG + "svgplot.py", "decimals = max(0, -math.floor(math.log10(step) + 1e-9))",
            "decimals = max(0, -math.floor(math.log10(step) + 1e-9) - 1)",
            "tick labels one decimal short"),
