@@ -15,6 +15,7 @@ import sys
 from . import csvio, svgplot
 from .config import parse_config, build_setup
 from .fano import _fit_window, fit_fano
+from .model import PresetDataError
 from .scattering import PoleError, sweep_spectrum
 from .scenarios import DEFAULT_PROMINENCE, run_scenario_suite, spectral_difference
 
@@ -147,7 +148,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, PoleError, OSError, MemoryError) as exc:
+    except (ValueError, PoleError, PresetDataError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

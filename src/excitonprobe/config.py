@@ -4,7 +4,8 @@ Unknown keys are fatal everywhere; a typo in a physics parameter must not
 silently fall back to a default. The top level, the grid block and each
 scenario entry are the dataclass they describe (RunConfig, ProbeGrid,
 SCENARIO_TYPES): its fields are the keys and its own checks the value rules.
-Syntax errors are reported with the line and column from the JSON parser.
+Syntax errors are reported with the line and column from the JSON parser; a
+key repeated in one object is an error too, since JSON would keep its last value.
 """
 
 from __future__ import annotations
@@ -118,9 +119,17 @@ class RunConfig:
 
 
 def _read_json_object(path, what) -> dict:
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

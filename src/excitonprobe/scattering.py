@@ -26,9 +26,9 @@ Both satisfy the exact flux balance 1 - |t|^2 - |r|^2 = sum_n gamma_n
 a mutual cross-check throughout the test suite.
 
 Each route is one kernel over a stack of energies. The kernel checks the ports
-once (a built network is valid), then takes the energies in chunks and forms t,
-r, xi and the flux ledger (T, R, absorption per site and per loss channel) as
-arrays. How a chunk is solved depends on the route and the network size:
+once (a built network is valid) and forms t, r and xi as arrays, from which
+the flux ledger (T, R, absorption per site and per loss channel) follows. How
+a chunk of energies is solved depends on the route and the network size:
 
 * ``direct``, and ``closed_form`` below ``_SCHUR_MIN_SITES`` sites, stack
   the chunk's matrices and solve them with one ``np.linalg.solve`` call
@@ -42,11 +42,12 @@ arrays. How a chunk is solved depends on the route and the network size:
   form from the eigenvectors of ``np.linalg.eig`` (``_schur_form``); where
   it misses LAPACK's backward error, the kernel takes the stacked LU solve.
 
-A chunk's largest array takes at most about 1 MiB, so memory stays bounded
-on long grids and large networks. A point's value does not depend on the
-chunk it is solved in. ``sweep_spectrum`` runs the kernel over a probe grid;
-``solve_closed_form`` and ``solve_direct`` run it on a grid of one energy
-and wrap the result in a ``ScatteringSolution``.
+One amplitude stream, ``_amplitude_chunks``, builds the kernel, feeds it the
+energies in chunks whose largest array takes at most about 1 MiB (memory stays
+bounded on long grids and large networks) and decides what a pole does. A
+point's value does not depend on its chunk. ``sweep_spectrum`` retries a pole
+nudged up; ``solve_closed_form`` and ``solve_direct`` solve one energy, raise
+at a pole and wrap the result in a ``ScatteringSolution``.
 """
 
 from __future__ import annotations
@@ -285,18 +286,6 @@ def _direct_kernel(net: SiteNetwork, wg: WaveguideCoupling):
 _KERNELS = {"closed_form": _closed_form_kernel, "direct": _direct_kernel}
 
 
-def _solve_stack(amplitudes, energies):
-    """(t, r, xi, pole): amplitude rows at each energy and a mask of its poles.
-
-    A pole is an energy whose amplitudes are not finite, which includes each
-    energy whose system is singular.
-    """
-    with np.errstate(all="ignore"):
-        t, r, xi = amplitudes(energies)
-    pole = ~(np.isfinite(t) & np.isfinite(r) & np.isfinite(xi).all(axis=1))
-    return t, r, xi, pole
-
-
 def _flux(net: SiteNetwork, v_g: float, t, r, xi):
     """Flux ledger rows (T, R, absorption per site, absorption per channel)."""
     occupancy = np.abs(xi) ** 2 / v_g
@@ -310,12 +299,38 @@ def _flux(net: SiteNetwork, v_g: float, t, r, xi):
     return T, R, per_site, per_channel
 
 
+def _amplitude_chunks(net: SiteNetwork, wg: WaveguideCoupling, energies, solver, nudge=None):
+    """Yield (rows, t, r, xi), the solver's amplitudes at energies[rows], chunk by chunk.
+
+    A pole is an energy whose amplitudes are not finite, as where its system
+    is singular. Without nudge it raises PoleError(energy). With nudge, a
+    chunk's poles are solved again, together, at E + nudge; a pole left
+    raises PoleError with its index in energies.
+    """
+    amplitudes, point_bytes = _KERNELS[solver](net, wg)
+
+    def solve(at):
+        with np.errstate(all="ignore"):
+            t, r, xi = amplitudes(at)
+        return t, r, xi, ~(np.isfinite(t) & np.isfinite(r) & np.isfinite(xi).all(axis=1))
+
+    chunk = max(1, _CHUNK_BYTES // point_bytes)
+    for start in range(0, energies.size, chunk):
+        rows = slice(start, start + chunk)
+        t, r, xi, pole = solve(energies[rows])
+        if pole.any():
+            if nudge is None:
+                raise PoleError(energies[rows][pole][0])
+            t[pole], r[pole], xi[pole], still = solve(energies[rows][pole] + nudge)
+            if still.any():
+                i = start + np.flatnonzero(pole)[still][0]
+                raise PoleError(energies[i], grid_index=i)
+        yield rows, t, r, xi
+
+
 def _solve_point(net: SiteNetwork, wg: WaveguideCoupling, energy, solver: str):
     """The kernel on a grid of one energy, as a ScatteringSolution."""
-    amplitudes, _ = _KERNELS[solver](net, wg)
-    t, r, xi, pole = _solve_stack(amplitudes, np.array([energy], dtype=float))
-    if pole[0]:
-        raise PoleError(energy)
+    [(_, t, r, xi)] = _amplitude_chunks(net, wg, np.array([energy], dtype=float), solver)
     T, R, per_site, per_channel = _flux(net, wg.v_g, t, r, xi)
     xi, per_site = xi[0], per_site[0]
     xi.flags.writeable = False
@@ -381,24 +396,13 @@ def sweep_spectrum(net: SiteNetwork, wg: WaveguideCoupling, grid: ProbeGrid,
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}, expected one of {sorted(SOLVERS)}")
-    amplitudes, point_bytes = _KERNELS[solver](net, wg)
-    chunk = max(1, _CHUNK_BYTES // point_bytes)
-
-    energies = grid.energies()
     T = np.empty(grid.n_points)
     R = np.empty(grid.n_points)
     A_total = np.empty(grid.n_points)
     A_channels = {name: np.empty(grid.n_points) for name in LOSS_CHANNELS}
 
-    for start in range(0, grid.n_points, chunk):
-        rows = slice(start, start + chunk)
-        t, r, xi, pole = _solve_stack(amplitudes, energies[rows])
-        if pole.any():
-            nudged = energies[rows][pole] + POLE_NUDGE * grid.spacing
-            t[pole], r[pole], xi[pole], still = _solve_stack(amplitudes, nudged)
-            if still.any():
-                i = start + np.flatnonzero(pole)[still][0]
-                raise PoleError(energies[i], grid_index=i)
+    for rows, t, r, xi in _amplitude_chunks(net, wg, grid.energies(), solver,
+                                            POLE_NUDGE * grid.spacing):
         T[rows], R[rows], per_site, per_channel = _flux(net, wg.v_g, t, r, xi)
         A_total[rows] = np.sum(per_site, axis=1)
         for name in LOSS_CHANNELS:

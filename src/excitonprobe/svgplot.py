@@ -150,12 +150,7 @@ def _document(base_spec, defect_spec, defect_label, title):
     yield "\n".join(legend + ["</svg>"]) + "\n"
 
 
-def render_overlay(base_spec, defect_spec=None, defect_label: str = "defect",
-                   title: str = "") -> str:
-    """SVG document string: baseline T(E) solid, optional defect dashed."""
-    return "".join(_document(base_spec, defect_spec, defect_label, title))
-
-
 def write_overlay(path, base_spec, defect_spec=None, defect_label="defect", title=""):
+    """Write the SVG document to path: baseline T(E) solid, optional defect dashed."""
     with _open_text(path) as fh:
         fh.writelines(_document(base_spec, defect_spec, defect_label, title))

@@ -132,6 +132,12 @@ class TestParseConfig:
         ("[]", "{path}: top level must be a JSON object"),
         ('{"grid": "x"}', "grid must be an object, got str"),
         ('{"grid": {"e_max": 1.0}}', "grid: missing key 'e_min'"),
+        # JSON keeps a repeated key's last value; the config rejects it instead
+        ('{"g1": 10.0, "g6": 10.0, "g1": 0.1}', "{path}: repeated key 'g1'"),
+        ('{"scenarios": [{"type": "remove_site", "site": 2, "site": 5}]}',
+         "{path}: repeated key 'site'"),
+        ('{"grid": {"e_min": 0, "e_max": 1, "n_points": 3, "e_max": 2}}',
+         "{path}: repeated key 'e_max'"),
     ])
     def test_config_file_messages(self, tmp_path, text, message):
         path = tmp_path / "run.json"
@@ -410,6 +416,15 @@ class TestBuildSetup:
                                            f"key 'units' must be 'cm-1', got {units!r}\n")
         assert not out.exists()
 
+    def test_repeated_key_in_network_file_is_fatal_and_named(self, tmp_path):
+        text = json.dumps(bundled_site_data())
+        (tmp_path / "net.json").write_text(
+            text.replace("{", '{"reference_energy_cm1": 0.0, ', 1))
+        path = write_config(tmp_path, network="file", network_file="net.json")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == f"{tmp_path / 'net.json'}: repeated key 'reference_energy_cm1'"
+
     def test_network_file_too_small(self, tmp_path):
         netfile = tmp_path / "toy.json"
         netfile.write_text(json.dumps({
@@ -543,6 +558,17 @@ class TestCliSpectrum:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    def test_unreadable_preset_data_is_one_error_line(self, spectrum_setup, monkeypatch,
+                                                      capsys):
+        monkeypatch.setattr("excitonprobe.model.PRESET_DATA_FILE", "missing.json")
+        cfg, out = spectrum_setup
+        assert run_cli("spectrum", "--config", cfg) == 1
+        captured = capsys.readouterr()
+        missing = resources.files("excitonprobe") / "data" / "missing.json"
+        assert captured.err == (f"error: preset data file 'missing.json': [Errno 2] "
+                                f"No such file or directory: {str(missing)!r}\n")
+        assert captured.out == "" and not out.exists()
 
 
 class TestCliScenario:

@@ -18,7 +18,6 @@ from excitonprobe.model import (
 )
 from excitonprobe.scenarios import InhibitCoupling, RemoveSite, apply_defect
 from excitonprobe.scattering import (
-    _CHUNK_BYTES,
     _KERNELS,
     _SCHUR_MIN_SITES,
     DEFAULT_GRID_MARGIN,
@@ -171,13 +170,18 @@ class TestPoleHandling:
     def test_pole_is_resolved_above_its_grid_point(self, monkeypatch):
         # the retry solves the pole alone at E + POLE_NUDGE * spacing
         solved = []
-        real = scattering._solve_stack
+        real = _KERNELS["closed_form"]
 
-        def spy(amplitudes, energies):
-            solved.append(np.array(energies))
-            return real(amplitudes, energies)
+        def spy_kernel(net, wg):
+            amplitudes, point_bytes = real(net, wg)
 
-        monkeypatch.setattr(scattering, "_solve_stack", spy)
+            def spy(energies):
+                solved.append(np.array(energies))
+                return amplitudes(energies)
+
+            return spy, point_bytes
+
+        monkeypatch.setitem(_KERNELS, "closed_form", spy_kernel)
         net, wg = single_emitter(epsilon=0.0, g=1.0)
         grid = ProbeGrid(-1.0, 1.0, 3)
         sweep_spectrum(net, wg, grid)
@@ -187,9 +191,15 @@ class TestPoleHandling:
         assert solved[1][0] > 0.0
 
     def test_point_solver_raises_on_pole(self):
-        net, wg = single_emitter(epsilon=0.0, g=1.0)
-        with pytest.raises(PoleError):
-            solve_closed_form(net, wg, 0.0)
+        # site 2 is lossless and coupled to nothing: both routes are singular
+        # at its energy, and a single-energy solve has no grid to nudge on
+        net, wg = decoupled_network([0.0, 5.0])
+        for solve in (solve_closed_form, solve_direct):
+            with pytest.raises(PoleError) as err:
+                solve(net, wg, 5)
+            assert err.value.grid_index is None
+            assert err.value.energy == 5.0 and type(err.value.energy) is float
+            assert str(err.value) == "singular scattering problem at E = 5.0 cm^-1"
 
     def test_singular_system_marks_only_its_own_row(self, rng):
         stack = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
@@ -331,9 +341,11 @@ def sweep_ledgers(spec):
     return {"T": spec.T, "R": spec.R, "A_total": spec.A_total, **spec.A_channels}
 
 
-def chunk_rows(n):
-    """Points in one stacked chunk of the kernel for n x n systems."""
-    return max(1, _CHUNK_BYTES // (16 * n * n))
+def chunk_rows(n, route="lu"):
+    """Points in one chunk of the kernel: stacked LU solves of n x n systems,
+    or the Schur route's rows of n amplitudes."""
+    point_bytes = 16 * n * n if route == "lu" else 16 * n
+    return max(1, scattering._CHUNK_BYTES // point_bytes)
 
 
 def decoupled_network(epsilon):
@@ -361,22 +373,29 @@ class TestKernel:
             for key in want:
                 assert np.array_equal(got[key], want[key]), key
 
-    def test_sweep_across_chunks_matches_direct_oracle(self, rng):
+    def test_sweep_across_chunks_matches_direct_oracle(self, rng, monkeypatch):
         net, wg = random_network(rng, 60)
         grid = ProbeGrid(-80.0, 80.0, 50)
         assert grid.n_points > 2 * chunk_rows(net.n_sites + 2)
         want = point_ledgers(solve_direct, net, wg, grid.energies())
-        closed = sweep_ledgers(sweep_spectrum(net, wg, grid))
         direct = sweep_ledgers(sweep_spectrum(net, wg, grid, solver="direct"))
+        # the Schur route's chunk would hold the whole grid; seven points here
+        monkeypatch.setattr(scattering, "_CHUNK_BYTES", 7 * 16 * net.n_sites)
+        assert _KERNELS["closed_form"](net, wg)[1] == 16 * net.n_sites
+        assert grid.n_points > 2 * chunk_rows(net.n_sites, "schur")
+        closed = sweep_ledgers(sweep_spectrum(net, wg, grid))
         for key in want:
             assert np.max(np.abs(closed[key] - want[key])) < 1e-10, key
             assert np.array_equal(direct[key], want[key]), key
 
-    def test_nudge_recovers_a_pole_in_a_later_chunk(self):
+    def test_nudge_recovers_a_pole_in_a_later_chunk(self, monkeypatch):
         grid = ProbeGrid(-1.0, 1.0, 101)
         n = 60
-        assert 77 > 2 * chunk_rows(n)
         net, wg = decoupled_network([grid.energies()[77]] + [1e4 + k for k in range(n - 1)])
+        # ten points per Schur chunk: index 77 is point 7 of the eighth chunk
+        monkeypatch.setattr(scattering, "_CHUNK_BYTES", 10 * 16 * n)
+        assert _KERNELS["closed_form"](net, wg)[1] == 16 * n
+        assert 77 > 2 * chunk_rows(n, "schur")
         spec = sweep_spectrum(net, wg, grid)
         assert np.all(np.isfinite(spec.T)) and np.all(np.isfinite(spec.A_total))
         assert spec.T[77] < 1e-10
@@ -384,11 +403,14 @@ class TestKernel:
         want = point_ledgers(solve_closed_form, net, wg, grid.energies()[off_pole])
         assert np.array_equal(spec.T[off_pole], want["T"])
 
-    def test_surviving_pole_reports_its_global_grid_index(self):
+    def test_surviving_pole_reports_its_global_grid_index(self, monkeypatch):
         # at 1e6 cm^-1 the nudge of 1e-9 * 1e-3 rounds away
         grid = ProbeGrid(1e6 - 0.05, 1e6 + 0.05, 101)
         n = 60
         net, wg = decoupled_network([grid.energies()[77]] + [1e4 + k for k in range(n - 1)])
+        monkeypatch.setattr(scattering, "_CHUNK_BYTES", 10 * 16 * n)
+        assert _KERNELS["closed_form"](net, wg)[1] == 16 * n
+        assert 77 > 2 * chunk_rows(n, "schur")
         with pytest.raises(PoleError) as err:
             sweep_spectrum(net, wg, grid)
         assert err.value.grid_index == 77

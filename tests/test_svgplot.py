@@ -9,7 +9,7 @@ import pytest
 
 import excitonprobe
 from excitonprobe import RemoveSite, apply_defect, default_grid, fmo_preset, sweep_spectrum
-from excitonprobe.svgplot import _nice_ticks, render_overlay
+from excitonprobe.svgplot import _nice_ticks, write_overlay
 
 
 @pytest.fixture(scope="module")
@@ -24,23 +24,30 @@ def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def overlay(tmp_path, *specs, **labels):
+    """The SVG text write_overlay writes for specs and labels."""
+    path = tmp_path / "overlay.svg"
+    write_overlay(path, *specs, **labels)
+    return path.read_bytes().decode("utf-8")
+
+
 class TestPinnedBytes:
     """The SVG bytes are pinned: a change to any coordinate, tick, legend
     entry or escape shows up as a new digest."""
 
-    def test_baseline_alone(self, spectra):
-        svg = render_overlay(spectra[0], title="baseline transmission")
+    def test_baseline_alone(self, spectra, tmp_path):
+        svg = overlay(tmp_path, spectra[0], title="baseline transmission")
         assert len(svg) == 7340
         assert sha256(svg) == "ad3efd8b2363146810cbe33995f6a278a212836dff6b8b42ec3010265a1ac772"
 
-    def test_baseline_untitled(self, spectra):
-        svg = render_overlay(spectra[0])
+    def test_baseline_untitled(self, spectra, tmp_path):
+        svg = overlay(tmp_path, spectra[0])
         assert len(svg) == 7226
         assert sha256(svg) == "231f3d60333e130931e1d2d13f4e3cc9581ffbda8ad3632aac630fff8a4e3b0c"
 
-    def test_overlay_with_escaped_labels(self, spectra):
-        svg = render_overlay(*spectra, defect_label='remove <site 5> & "J"',
-                             title="site 5 < & >")
+    def test_overlay_with_escaped_labels(self, spectra, tmp_path):
+        svg = overlay(tmp_path, *spectra, defect_label='remove <site 5> & "J"',
+                      title="site 5 < & >")
         assert "remove &lt;site 5&gt; &amp; \"J\"" in svg
         assert len(svg) == 13238
         assert sha256(svg) == "8643144495780c0758ac2959191d712eeb609d0ca0b26afe3e8382e2e65a17e0"

@@ -76,11 +76,15 @@ MUTANTS = [
     Mutant(PKG + "scenarios.py", "grid=asdict(grid)),", "),",
            "the report's grid block dropped"),
     # kernel
-    Mutant(PKG + "scattering.py", "nudged = energies[rows][pole] + POLE_NUDGE * grid.spacing",
-           "nudged = energies[rows][pole] - POLE_NUDGE * grid.spacing",
-           "pole nudge pointed down"),
+    Mutant(PKG + "scattering.py", "solve(energies[rows][pole] + nudge)",
+           "solve(energies[rows][pole] - nudge)", "pole nudge pointed down"),
     Mutant(PKG + "scattering.py", "            if still.any():", "            if False:",
            "no PoleError after a failed nudge"),
+    Mutant(PKG + "scattering.py", "i = start + np.flatnonzero(pole)[still][0]",
+           "i = np.flatnonzero(pole)[still][0]", "pole's grid index without its chunk's start"),
+    Mutant(PKG + "scattering.py", "raise PoleError(energies[rows][pole][0])",
+           "raise PoleError(energies[rows][pole][0], grid_index=start)",
+           "a grid index on a single-energy pole"),
     Mutant(PKG + "scattering.py", "if net.n_sites >= _SCHUR_MIN_SITES",
            "if net.n_sites > _SCHUR_MIN_SITES", "Schur threshold >= -> >"),
     Mutant(PKG + "scattering.py", "(b[k] + _dot_rows(T[k, k + 1:], z[:, k + 1:]))",
@@ -137,6 +141,10 @@ MUTANTS = [
            "fano --window with --config accepted, --window ignored"),
     Mutant(PKG + "cli.py", "OSError, MemoryError)", "OSError)",
            "MemoryError left out of main's catch"),
+    Mutant(PKG + "cli.py", "PresetDataError, OSError", "OSError",
+           "PresetDataError left out of main's catch"),
+    Mutant(PKG + "config.py", "            if key in obj:\n", "            if False:\n",
+           "a repeated JSON key accepted, its last value kept"),
 ]
 
 
