@@ -16,20 +16,20 @@ from . import csvio, svgplot
 from .config import parse_config, build_setup
 from .fano import _fit_window, fit_fano
 from .model import PresetDataError
-from .scattering import PoleError, sweep_spectrum
+from .scattering import PoleError
 from .scenarios import DEFAULT_PROMINENCE, run_scenario_suite, spectral_difference
 
 
 def cmd_spectrum(args) -> int:
     cfg = parse_config(args.config)
     net, wg, grid = build_setup(cfg)
-    spec = sweep_spectrum(net, wg, grid, solver=cfg.solver)
     csv_path = os.path.join(cfg.output_dir, "baseline.csv")
-    csvio.write_spectrum_csv(csv_path, spec)
+    # the sweep goes to the CSV chunk by chunk; only T stays, for the SVG
+    baseline = csvio._write_sweep_csv(csv_path, net, wg, grid, cfg.solver)
     print(f"wrote {csv_path}")
     if args.svg or cfg.emit_svg:
         svg_path = os.path.join(cfg.output_dir, "baseline.svg")
-        svgplot.write_overlay(svg_path, spec, title="baseline transmission")
+        svgplot.write_overlay(svg_path, baseline, title="baseline transmission")
         print(f"wrote {svg_path}")
     return 0
 
@@ -89,7 +89,7 @@ def _parse_window(raw: str):
 def cmd_fano(args) -> int:
     if args.window and args.config:
         raise ValueError("--window and --config both give fit windows; pass one of them")
-    spec = csvio.read_spectrum_csv(args.spectrum)
+    spec = csvio._read_transmission(args.spectrum)  # a fit reads only the grid and T
     if args.config:
         windows = list(parse_config(args.config).fit_windows)
     else:

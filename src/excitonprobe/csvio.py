@@ -8,14 +8,16 @@ Writes are deterministic: identical inputs give byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import LOSS_CHANNELS, ProbeGrid
-from .scattering import Spectrum
+from .scattering import Spectrum, _flux_chunks, _sweep_metadata
 
 # Loss channels in the order of their A_<channel> columns, after E, T, R and A_total.
 _CSV_CHANNELS = ("sink", "dephasing", "ohmic")
@@ -65,16 +67,61 @@ def _meta_line(key, value):
 
 
 def write_spectrum_csv(path, spec: Spectrum):
-    keys = [key for key in _META if key in spec.metadata]
-    keys += sorted((key for key in spec.metadata if key not in _META), key=str)
-    lines = [_meta_line(key, spec.metadata[key]) for key in keys]
-    lines.append(CSV_HEADER)
-    columns = (spec.energies, spec.T, spec.R, spec.A_total,
-               *(spec.A_channels[name] for name in _CSV_CHANNELS))
+    preamble = _preamble(spec.metadata)
+    columns = (spec.T, spec.R, spec.A_total, *(spec.A_channels[name] for name in _CSV_CHANNELS))
+    chunks = ((rows, [col[rows] for col in columns]) for rows in _row_blocks(spec.grid.n_points))
     with _open_text(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.writelines(format_rows(_CSV_ROW, [col[rows] for col in columns])
-                      for rows in _row_blocks(len(columns[0])))
+        _write_rows(fh, preamble, spec.grid, chunks)
+
+
+def _write_sweep_csv(path, net, wg, grid, solver):
+    """Write the CSV that write_spectrum_csv writes for sweep_spectrum(net, wg,
+    grid, solver), each chunk as soon as it is solved.
+
+    Returns the grid and T, the one column kept, as a _Transmission. Where the
+    sweep fails, the file goes: cut at a row boundary, it would read back as a
+    spectrum on a shorter grid.
+    """
+    T = np.empty(grid.n_points)
+
+    def chunks():
+        for rows, T_rows, R, A_total, per_channel in _flux_chunks(net, wg, grid, solver):
+            T[rows] = T_rows
+            yield rows, [T_rows, R, A_total, *(per_channel[name] for name in _CSV_CHANNELS)]
+
+    preamble = _preamble(_sweep_metadata(net, wg, solver))
+    with _open_text(path) as fh:
+        try:
+            _write_rows(fh, preamble, grid, chunks())
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
+    T.flags.writeable = False
+    return _Transmission(grid, T)
+
+
+def _preamble(metadata):
+    """The metadata lines and the header of a spectrum CSV, as one text."""
+    keys = [key for key in _META if key in metadata]
+    keys += sorted((key for key in metadata if key not in _META), key=str)
+    lines = [_meta_line(key, metadata[key]) for key in keys]
+    lines.append(CSV_HEADER)
+    return "\n".join(lines) + "\n"
+
+
+def _write_rows(fh, preamble, grid, chunks):
+    """Write a spectrum CSV to fh: the preamble, then the rows.
+
+    chunks yields (rows, columns): a slice of the grid and its values in CSV
+    column order after E_cm1. Each chunk is formatted _CSV_BLOCK_ROWS rows at a
+    time.
+    """
+    fh.write(preamble)
+    for rows, columns in chunks:
+        columns = [grid.energies(rows), *columns]
+        fh.writelines(format_rows(_CSV_ROW, [col[block] for col in columns])
+                      for block in _row_blocks(len(columns[0])))
 
 
 def _row_blocks(n_rows):
@@ -103,23 +150,137 @@ def read_spectrum_csv(path) -> Spectrum:
     finite; metadata lines come back as a dict, each value read by the reader
     _META gives its key (as text for a key it does not list).
 
-    The rows after the header go to numpy's C parser. Where it fails or
-    yields anything but a finite 7-column array, the line parser reads the
-    whole file again: it accepts what Python's float() accepts, skips `#`
-    lines, and names the line of any error.
+    The rows after the header go to numpy's C parser, one block of
+    _CSV_BLOCK_ROWS rows at a time, into six float columns sized from the
+    file's line count; the energy column is checked block by block and not
+    kept; blank lines are skipped. Where a block fails or yields anything but
+    a finite 7-column table, the line parser reads the whole file again: it
+    accepts what Python's float() accepts, skips blank and `#` lines, and
+    names the line of any error.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        metadata, _ = _read_preamble(fh, path)
-        try:
-            # an empty body warns; the line parser reports it
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            data = None
-    if data is None or data.shape[1] != len(_CSV_COLUMNS) or not np.isfinite(data).all():
+    metadata, grid, (T, R, A_total, *absorbed) = _read_columns(path, _CSV_COLUMNS[1:])
+    by_channel = dict(zip(_CSV_CHANNELS, absorbed))
+    channels = {name: by_channel[name] for name in LOSS_CHANNELS}
+    return Spectrum(grid=grid, T=T, R=R, A_total=A_total, A_channels=channels,
+                    metadata=metadata)
+
+
+class _Transmission(NamedTuple):
+    """The grid and T of a spectrum: all that fit_fano and write_overlay read."""
+
+    grid: ProbeGrid
+    T: np.ndarray
+
+
+def _read_transmission(path) -> _Transmission:
+    """The grid and T of a spectrum CSV; every column is checked as read_spectrum_csv does."""
+    _, grid, (T,) = _read_columns(path, ("T",))
+    return _Transmission(grid, T)
+
+
+def _read_columns(path, names):
+    """(metadata, grid, table) of a spectrum CSV: one read-only row of table per
+    column in names, all of them checked."""
+    keep = [_CSV_COLUMNS.index(name) for name in names]
+    read = _read_blocks(path, keep)
+    if read is None:
         metadata, data = _parse_lines(path)
-    return _spectrum_from_rows(path, metadata, data)
+        check = _GridCheck()
+        check.add(data[:, 0])
+        table = data[:, keep].T.copy()
+        table.flags.writeable = False
+        read = metadata, check.grid(path), table
+    return read
+
+
+def _read_blocks(path, keep):
+    """The block parser's (metadata, grid, table), or None where it cannot read the body."""
+    with open(path, "r", encoding="utf-8") as fh:
+        metadata, header_lineno = _read_preamble(fh, path)
+        # one column per line after the header: blank lines leave a few unused
+        table = np.empty((len(keep), max(0, _line_count(path) - header_lineno)))
+        check = _GridCheck()
+        while True:
+            lines, data = _parse_block(fh)
+            if not lines:
+                break
+            if data is None or check.rows + len(data) > table.shape[1]:
+                return None
+            for row, column in enumerate(keep):
+                table[row, check.rows:check.rows + len(data)] = data[:, column]
+            check.add(data[:, 0])
+    table = table[:, :check.rows]
+    table.flags.writeable = False
+    return metadata, check.grid(path), table
+
+
+def _line_count(path):
+    """Lines in the file at path, a last one without a line end included."""
+    with open(path, "rb") as fh:
+        return sum(1 for _ in fh)
+
+
+def _parse_block(fh):
+    """(lines, table): how many of fh's next lines it read, _CSV_BLOCK_ROWS at
+    most, and numpy's C parse of those that are not blank as a finite
+    (rows, 7) table, or None.
+
+    The parser pulls the lines one at a time, so the block's text is never held.
+    """
+    lines = rows = 0
+
+    def body():
+        nonlocal lines, rows
+        for lines, line in enumerate(itertools.islice(fh, _CSV_BLOCK_ROWS), 1):
+            if line != "\n":  # the line parser skips a blank line too
+                rows += 1
+                yield line
+
+    try:
+        # an empty block warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            data = np.loadtxt(body(), delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # a field numpy cannot parse, or text that is not UTF-8
+        return lines, None
+    if not rows:  # numpy reads no lines as a (0, 1) table
+        data = np.empty((0, len(_CSV_COLUMNS)))
+    if data.shape != (rows, len(_CSV_COLUMNS)) or not np.isfinite(data).all():
+        return lines, None
+    return lines, data
+
+
+class _GridCheck:
+    """Whether an energy column, fed in blocks, forms a uniform increasing grid."""
+
+    def __init__(self):
+        self.rows = 0
+        self.finite = True
+        self.first = self.last = None
+        self.step_min, self.step_max = math.inf, -math.inf
+
+    def add(self, energies):
+        if not np.isfinite(energies).all():
+            self.finite = False
+        elif energies.size:
+            if self.last is None:
+                self.first, steps = energies[0], np.diff(energies)
+            else:  # the step into a block starts from the energy the last one ended at
+                steps = np.diff(energies, prepend=self.last)
+            if steps.size:
+                self.step_min = min(self.step_min, float(steps.min()))
+                self.step_max = max(self.step_max, float(steps.max()))
+            self.last = energies[-1]
+        self.rows += energies.size
+
+    def grid(self, path) -> ProbeGrid:
+        """The grid the column forms; ValueError naming path where it forms none."""
+        if self.rows < 2:
+            raise ValueError(f"{path}: needs at least 2 data rows, got {self.rows}")
+        if not self.finite or self.step_min <= 0 or (
+                self.step_max - self.step_min > 1e-6 * (self.last - self.first) / (self.rows - 1)):
+            raise ValueError(f"{path}: energy column is not a uniform increasing grid")
+        return ProbeGrid(e_min=float(self.first), e_max=float(self.last), n_points=self.rows)
 
 
 def _split_meta(line):
@@ -174,27 +335,7 @@ def _parse_lines(path):
                 if not math.isfinite(value):
                     raise ValueError(f"{path}:{lineno}: non-finite value in column {name}")
             rows.append(row)
-    return metadata, np.array(rows)
-
-
-def _spectrum_from_rows(path, metadata, data) -> Spectrum:
-    if len(data) < 2:
-        raise ValueError(f"{path}: needs at least 2 data rows, got {len(data)}")
-    energies = data[:, 0]
-    spacing = np.diff(energies)
-    if (not np.isfinite(energies).all() or spacing.min() <= 0
-            or (spacing.max() - spacing.min()) > 1e-6 * abs(spacing.mean())):
-        raise ValueError(f"{path}: energy column is not a uniform increasing grid")
-    grid = ProbeGrid(e_min=float(energies[0]), e_max=float(energies[-1]),
-                     n_points=len(data))
-
-    # columns are views of the parsed table, read-only as it is
-    data.flags.writeable = False
-    _, T, R, A_total, *absorbed = data.T
-    by_channel = dict(zip(_CSV_CHANNELS, absorbed))
-    channels = {name: by_channel[name] for name in LOSS_CHANNELS}
-    return Spectrum(grid=grid, T=T, R=R, A_total=A_total, A_channels=channels,
-                    metadata=metadata)
+    return metadata, np.array(rows).reshape(-1, len(_CSV_COLUMNS))
 
 
 def format_fano_table(rows) -> str:

@@ -12,6 +12,7 @@ rejected step, factor 10 down on an accepted one, starting at 1e-3.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -181,14 +182,27 @@ def _fit_window(win, name: str):
     return lo, hi
 
 
+def _window_rows(grid, e_lo: float, e_hi: float) -> slice:
+    """The rows of grid whose energies lie in [e_lo, e_hi], found by bisection."""
+    def energy(k):
+        return float(grid.energies([k])[0])
+
+    every = range(grid.n_points)
+    return slice(bisect.bisect_left(every, e_lo, key=energy),
+                 bisect.bisect_right(every, e_hi, key=energy))
+
+
 def fit_fano(spec, window) -> FanoFit:
-    """Fit one energy window (e_lo, e_hi) of a spectrum's transmission."""
+    """Fit one energy window (e_lo, e_hi) of a spectrum's transmission.
+
+    spec is a Spectrum, or any record with its grid and T.
+    """
     e_lo, e_hi = _fit_window(window, "fit window")
-    energies = spec.energies
-    mask = (energies >= e_lo) & (energies <= e_hi)
-    if int(mask.sum()) < MIN_WINDOW_POINTS:
+    rows = _window_rows(spec.grid, e_lo, e_hi)
+    count = rows.stop - rows.start
+    if count < MIN_WINDOW_POINTS:
         raise ValueError(
-            f"window ({e_lo}, {e_hi}) holds {int(mask.sum())} grid points, "
+            f"window ({e_lo}, {e_hi}) holds {count} grid points, "
             f"need >= {MIN_WINDOW_POINTS}"
         )
-    return fit_fano_window(energies[mask], spec.T[mask])
+    return fit_fano_window(spec.grid.energies(rows), spec.T[rows])

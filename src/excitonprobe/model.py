@@ -223,8 +223,25 @@ class ProbeGrid:
     def spacing(self) -> float:
         return (self.e_max - self.e_min) / (self.n_points - 1)
 
-    def energies(self) -> np.ndarray:
-        return np.linspace(self.e_min, self.e_max, self.n_points)
+    def energies(self, rows=slice(None)) -> np.ndarray:
+        """The energies at rows: a slice, or a 1-D array of indices in 0..n_points - 1.
+
+        Bit for bit ``np.linspace(e_min, e_max, n_points)[rows]``: index k holds
+        k * spacing + e_min, the last index e_max. So a slice of the grid costs
+        no full-length array.
+        """
+        if isinstance(rows, slice):
+            k = np.arange(*rows.indices(self.n_points), dtype=float)
+        else:
+            k = np.asarray(rows)
+            if k.size and not (0 <= k.min() and k.max() < self.n_points):
+                raise IndexError(f"grid rows outside 0..{self.n_points - 1}")
+            k = k.astype(float)
+        last = k == self.n_points - 1
+        k *= self.spacing
+        k += self.e_min
+        k[last] = self.e_max
+        return k
 
 
 def validate_network(net: SiteNetwork) -> list[str]:

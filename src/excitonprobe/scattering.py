@@ -384,6 +384,18 @@ def _sweep_metadata(net, wg, solver):
     }
 
 
+def _flux_chunks(net: SiteNetwork, wg: WaveguideCoupling, grid: ProbeGrid, solver: str):
+    """Yield (rows, T, R, A_total, A_channels) of the sweep of grid, chunk by chunk.
+
+    The chunks and the pole rule are sweep_spectrum's. A caller that writes each
+    chunk as it comes holds one chunk of the spectrum, not all of it.
+    """
+    for rows, t, r, xi in _amplitude_chunks(net, wg, grid.energies(), solver,
+                                            POLE_NUDGE * grid.spacing):
+        T, R, per_site, per_channel = _flux(net, wg.v_g, t, r, xi)
+        yield rows, T, R, np.sum(per_site, axis=1), per_channel
+
+
 def sweep_spectrum(net: SiteNetwork, wg: WaveguideCoupling, grid: ProbeGrid,
                    solver: str = "closed_form") -> Spectrum:
     """Evaluate the chosen solver at every grid point.
@@ -401,10 +413,8 @@ def sweep_spectrum(net: SiteNetwork, wg: WaveguideCoupling, grid: ProbeGrid,
     A_total = np.empty(grid.n_points)
     A_channels = {name: np.empty(grid.n_points) for name in LOSS_CHANNELS}
 
-    for rows, t, r, xi in _amplitude_chunks(net, wg, grid.energies(), solver,
-                                            POLE_NUDGE * grid.spacing):
-        T[rows], R[rows], per_site, per_channel = _flux(net, wg.v_g, t, r, xi)
-        A_total[rows] = np.sum(per_site, axis=1)
+    for rows, *flux, per_channel in _flux_chunks(net, wg, grid, solver):
+        T[rows], R[rows], A_total[rows] = flux
         for name in LOSS_CHANNELS:
             A_channels[name][rows] = per_channel[name]
 

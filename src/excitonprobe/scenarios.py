@@ -171,20 +171,32 @@ def _prominent_peaks(x, prominence):
     The same indices as ``scipy.signal.find_peaks(x, prominence=prominence)[0]``;
     find_extrema states the rules.
     """
-    edge = np.flatnonzero(x[1:] != x[:-1]) + 1
-    first = np.concatenate(([0], edge))  # the runs of equal samples
-    if first.size < 3:
+    if x.size < 3:
         return np.empty(0, dtype=np.intp)
-    last = np.concatenate((edge, [x.size])) - 1
-    runs = x[first]
-    rise = runs[1:] > runs[:-1]
-    peak = np.concatenate(([False], rise[:-1] & ~rise[1:], [False]))
-    # Between two turning runs the samples are monotone, so a walk out of a
-    # peak finds its minimum, and its first higher sample, by turning runs.
-    turn = np.flatnonzero(np.concatenate(([True], rise[:-1] != rise[1:], [True])))
-    values = runs[turn].tolist()  # Python floats: an overflowing difference is inf, unwarned
+    # The sign of each step x[k + 1] - x[k], as two bool flags: it rises, it
+    # falls, or neither. Then the runs of steps of one sign.
+    rise, fall = x[1:] > x[:-1], x[1:] < x[:-1]
+    edge = rise[1:] != rise[:-1]
+    edge |= fall[1:] != fall[:-1]
+    start = np.concatenate(([0], np.flatnonzero(edge) + 1))
+    stop = np.append(start[1:], rise.size)  # a run's last step reaches sample `stop`
+    up = rise[start]
+    moving = up | fall[start]  # a run of flat steps lies inside a run of equal samples
+    if not moving.any():
+        return np.empty(0, dtype=np.intp)
+    up, start, stop = up[moving], start[moving], stop[moving]
+    # The runs of equal samples that can turn: the first, the one between each
+    # rising and falling moving run, and the last. Between two turning runs
+    # the samples are monotone, so a walk out of a peak finds its minimum, and
+    # its first higher sample, by turning runs.
+    first = np.concatenate(([0], stop))
+    last = np.append(start, x.size - 1)
+    turn = np.flatnonzero(np.concatenate(([True], up[:-1] != up[1:], [True])))
+    # a peak is entered by a rise and left by a fall; the end runs lack one of them
+    peak = np.concatenate(([False], up[:-1] & ~up[1:], [False]))[turn].tolist()
+    values = x[first[turn]].tolist()  # Python floats: an overflowing difference is inf, unwarned
     left, right = _walk_mins(values), _walk_mins(values[::-1])[::-1]
-    kept = turn[[k for k, is_peak in enumerate(peak[turn].tolist())
+    kept = turn[[k for k, is_peak in enumerate(peak)
                  if is_peak and values[k] - max(left[k], right[k]) >= prominence]]
     return (first[kept] + last[kept]) // 2
 
@@ -204,11 +216,12 @@ def find_extrema(spec: Spectrum, prominence: float = DEFAULT_PROMINENCE):
     prominence = _real_number(prominence, "prominence")
     if prominence <= 0:
         raise ValueError(f"prominence must be > 0, got {prominence!r}")
-    energies = spec.energies
+    out = []
     # dips first: the stable sort keeps a dip before a peak at the same energy
-    out = [Extremum(float(energies[i]), float(spec.T[i]), kind)
-           for kind, values in (("dip", -spec.T), ("peak", spec.T))
-           for i in _prominent_peaks(values, prominence)]
+    for kind, values in (("dip", -spec.T), ("peak", spec.T)):
+        rows = _prominent_peaks(values, prominence)
+        out += [Extremum(energy, float(spec.T[i]), kind)
+                for i, energy in zip(rows, spec.grid.energies(rows).tolist())]
     return sorted(out, key=lambda e: e.energy)
 
 

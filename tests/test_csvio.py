@@ -4,19 +4,20 @@ import json
 import re
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from excitonprobe import csvio
+from randnets import single_emitter
+
+from excitonprobe import csvio, scattering
 from excitonprobe.cli import main
 from excitonprobe.csvio import (
     _CSV_BLOCK_ROWS,
     _CSV_COLUMNS,
-    _parse_lines,
-    _spectrum_from_rows,
     CSV_HEADER,
     FANO_CSV_HEADER,
     format_fano_table,
@@ -26,7 +27,8 @@ from excitonprobe.csvio import (
 )
 from excitonprobe.fano import FanoFit
 from excitonprobe.model import ProbeGrid
-from excitonprobe.scattering import Spectrum, default_grid, sweep_spectrum
+from excitonprobe.scattering import PoleError, Spectrum, default_grid, sweep_spectrum
+from excitonprobe.scenarios import dip_count
 from excitonprobe.svgplot import write_overlay
 
 
@@ -219,7 +221,9 @@ class TestWriterText:
 
 
 def line_parser_read(path):
-    return _spectrum_from_rows(path, *_parse_lines(path))
+    """read_spectrum_csv with its block parser refusing every file."""
+    with mock.patch.object(csvio, "_read_blocks", lambda path, keep: None):
+        return read_spectrum_csv(path)
 
 
 def read_outcome(read, path):
@@ -353,6 +357,73 @@ class TestReaderValidation:
             read_spectrum_csv(str(p))
         assert str(err.value) == f"{p}:3: non-finite value in column {column}"
 
+    @staticmethod
+    def long_file(path, rows=2 * _CSV_BLOCK_ROWS + 10, edit=None):
+        """A spectrum CSV of `rows` rows on the grid 0.5 * k, the line parser's
+        input; edit(k, fields) may change the text fields of row k."""
+        lines = [CSV_HEADER]
+        for k in range(rows):
+            fields = [repr(0.5 * k)] + ["0.25"] * 6
+            if edit is not None:
+                edit(k, fields)
+            lines.append(",".join(fields))
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_non_uniform_step_at_a_block_edge_rejected(self, tmp_path):
+        # the one wide step is the step into the second block
+        p = tmp_path / "bad.csv"
+
+        def widen(k, fields):
+            if k >= _CSV_BLOCK_ROWS:
+                fields[0] = repr(0.5 * k + 0.25)
+
+        self.long_file(p, edit=widen)
+        with pytest.raises(ValueError) as err:
+            read_spectrum_csv(str(p))
+        assert str(err.value) == f"{p}: energy column is not a uniform increasing grid"
+        # one row later, the step lies inside the block
+        self.long_file(p, edit=lambda k, fields: widen(k - 1, fields))
+        with pytest.raises(ValueError, match="uniform increasing grid"):
+            read_spectrum_csv(str(p))
+
+    def test_non_finite_value_in_the_last_block_names_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        row = 2 * _CSV_BLOCK_ROWS + 5
+
+        def poison(k, fields):
+            if k == row:
+                fields[_CSV_COLUMNS.index("A_ohmic")] = "nan"
+
+        self.long_file(p, edit=poison)
+        with pytest.raises(ValueError) as err:
+            read_spectrum_csv(str(p))
+        # the header is line 1
+        assert str(err.value) == f"{p}:{row + 2}: non-finite value in column A_ohmic"
+
+    def test_long_file_reads_without_the_line_parser(self, tmp_path, monkeypatch):
+        p = tmp_path / "long.csv"
+        self.long_file(p)
+        monkeypatch.setattr(csvio, "_parse_lines", None)
+        spec = read_spectrum_csv(str(p))
+        assert spec.grid == ProbeGrid(0.0, 0.5 * (2 * _CSV_BLOCK_ROWS + 9), 2 * _CSV_BLOCK_ROWS + 10)
+        assert np.all(spec.A_channels["ohmic"] == 0.25)
+
+    def test_blank_lines_read_without_the_line_parser(self, tmp_path, monkeypatch):
+        # blank lines inside the first block, as its last line, and a last block of
+        # blank lines only; the header is line 1
+        p = tmp_path / "blank.csv"
+        self.long_file(p, rows=2 * _CSV_BLOCK_ROWS - 3)
+        lines = p.read_text().split("\n")
+        for lineno in (12, _CSV_BLOCK_ROWS + 1):
+            lines.insert(lineno - 1, "")
+        p.write_text("\n".join(lines) + "\n" * 4)
+        want = line_parser_read(str(p))
+        monkeypatch.setattr(csvio, "_parse_lines", None)
+        got = read_spectrum_csv(str(p))
+        assert got.grid == want.grid and got.grid.n_points == 2 * _CSV_BLOCK_ROWS - 3
+        assert got.T.tobytes() == want.T.tobytes()
+        assert got.A_channels["ohmic"].tobytes() == want.A_channels["ohmic"].tobytes()
+
     def test_decreasing_grid_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         rows = [CSV_HEADER]
@@ -392,12 +463,30 @@ class TestMemoryBound:
             out[n] = spec, path
         return out
 
+    @staticmethod
+    def spectrum_command(spec, path):
+        """`excitonprobe spectrum --svg` on the spectrum's grid."""
+        config = path.with_name("run.json")
+        grid = spec.grid
+        config.write_text(json.dumps({
+            "grid": {"e_min": grid.e_min, "e_max": grid.e_max, "n_points": grid.n_points},
+            "output_dir": str(path.with_name("out"))}))
+        assert main(["spectrum", "--config", str(config), "--svg"]) == 0
+
     # stage -> (bytes per added grid point allowed, the call on a spectrum and its CSV)
     STAGES = {
         "write_spectrum_csv": (16, lambda spec, path: write_spectrum_csv(str(path), spec)),
         "write_overlay": (24, lambda spec, path: write_overlay(str(path.with_suffix(".svg")),
                                                                spec)),
-        "read_spectrum_csv": (72, lambda spec, path: read_spectrum_csv(str(path))),
+        # the six returned columns (48 B) and a little slack
+        "read_spectrum_csv": (50, lambda spec, path: read_spectrum_csv(str(path))),
+        # the sign of each step and -T for the dips
+        "dip_count": (16, lambda spec, path: dip_count(spec)),
+        # the kept T column, the energies the sweep solves, and a little slack
+        "spectrum_command": (18, lambda spec, path: TestMemoryBound.spectrum_command(spec, path)),
+        # the T column, and the fit's arrays over its window, a tenth of the grid
+        "fano_command": (16, lambda spec, path: main(["fano", "--spectrum", str(path),
+                                                      "--window", "520,620"])),
     }
 
     @pytest.mark.parametrize("stage", list(STAGES))
@@ -406,6 +495,66 @@ class TestMemoryBound:
         small, large = (allocation_peak(lambda: call(*outputs[n])) for n in self.SIZES)
         growth = (large - small) / (self.SIZES[1] - self.SIZES[0])
         assert growth <= per_point, f"{stage}: {growth:.1f} B per grid point"
+
+
+MALFORMED = {
+    "non-finite": lambda rows: rows.__setitem__(3, rows[3].replace("0.5,", "inf,", 1)),
+    "non-numeric": lambda rows: rows.__setitem__(2, rows[2] + "x"),
+    "columns": lambda rows: rows.__setitem__(4, rows[4] + ",1"),
+    "non-uniform": lambda rows: rows.__setitem__(5, "9" + rows[5]),
+    "one-row": lambda rows: rows.__delitem__(slice(2, None)),
+}
+
+
+@pytest.mark.parametrize("kind", list(MALFORMED))
+def test_fano_reports_the_readers_error(tmp_path, capsys, kind):
+    # fano reads only the grid and T, but checks every column as the reader does
+    rows = [CSV_HEADER] + [",".join([repr(float(e))] + ["0.5"] * 6) for e in range(12)]
+    MALFORMED[kind](rows)
+    p = tmp_path / "bad.csv"
+    p.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_spectrum_csv(str(p))
+    capsys.readouterr()
+    assert main(["fano", "--spectrum", str(p), "--window", "0,11"]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+class TestStreamedSweep:
+    """The spectrum command writes each chunk of the sweep as it is solved."""
+
+    @pytest.mark.parametrize("solver", ["closed_form", "direct"])
+    def test_same_bytes_as_the_written_sweep(self, preset, tmp_path, solver):
+        net, wg = preset
+        # several sweep chunks of 1337 (LU) or 1024 (direct) rows and CSV blocks
+        grid = default_grid(net, n_points=9001)
+        self.assert_same_bytes(net, wg, grid, solver, tmp_path)
+
+    def test_chunk_longer_than_a_block(self, tmp_path):
+        # one site: an LU chunk holds 65536 rows, a CSV block 4096
+        net, wg = single_emitter(epsilon=0.3, gamma=2.0)
+        self.assert_same_bytes(net, wg, ProbeGrid(-50.0, 50.0, 70001), "closed_form", tmp_path)
+
+    @staticmethod
+    def assert_same_bytes(net, wg, grid, solver, tmp_path):
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        spec = sweep_spectrum(net, wg, grid, solver=solver)
+        write_spectrum_csv(str(want), spec)
+        kept = csvio._write_sweep_csv(str(got), net, wg, grid, solver)
+        assert got.read_bytes() == want.read_bytes()
+        assert kept.grid == grid and kept.T.tobytes() == spec.T.tobytes()
+
+    def test_file_cut_by_a_pole_is_removed(self, tmp_path, monkeypatch):
+        # a lossless site exactly at a grid point far above the nudge's reach;
+        # ten points per chunk, so seven chunks are written before the pole
+        grid = ProbeGrid(1e6 - 0.05, 1e6 + 0.05, 101)
+        net, wg = single_emitter(epsilon=grid.energies([77])[0], g=1.0)
+        monkeypatch.setattr(scattering, "_CHUNK_BYTES", 10 * 16)
+        path = tmp_path / "cut.csv"
+        with pytest.raises(PoleError) as err:
+            csvio._write_sweep_csv(str(path), net, wg, grid, "closed_form")
+        assert err.value.grid_index == 77
+        assert not path.exists()
 
 
 class TestFanoCsv:

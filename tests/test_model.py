@@ -279,6 +279,29 @@ class TestProbeGrid:
         e = grid.energies()
         assert e[0] == 0.0 and e[-1] == 10.0 and len(e) == 11
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(e_min=st.floats(-1e6, 1e6), span=st.floats(1e-6, 1e6), n=st.integers(2, 5000),
+           picks=st.lists(st.integers(0, 2 ** 16), min_size=3, max_size=3))
+    def test_energies_at_rows_are_linspace_bit_for_bit(self, e_min, span, n, picks):
+        grid = ProbeGrid(e_min, e_min + span, n)
+        want = np.linspace(grid.e_min, grid.e_max, grid.n_points)
+        lo, hi = sorted(k % (n + 2) for k in picks[:2])
+        rows = np.array([k % n for k in picks] + [n - 1, 0])
+        for got, ref in ((grid.energies(), want), (grid.energies(slice(lo, hi)), want[lo:hi]),
+                         (grid.energies(slice(lo, None, 3)), want[lo::3]),
+                         (grid.energies(rows), want[rows])):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_last_energy_is_e_max_not_the_step_sum(self):
+        # on this grid 0.1 + 6 * spacing is 0.30000000000000004
+        grid = ProbeGrid(0.1, 0.3, 7)
+        assert grid.e_min + 6 * grid.spacing != grid.e_max
+        assert grid.energies([6])[0] == grid.energies()[-1] == 0.3
+
+    def test_energies_outside_the_grid_rejected(self):
+        with pytest.raises(IndexError, match=re.escape("grid rows outside 0..10")):
+            ProbeGrid(0.0, 1.0, 11).energies([3, 11])
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             ProbeGrid(0.0, 1.0, 1)

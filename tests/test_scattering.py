@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -627,12 +629,34 @@ class TestSchurForm:
             assert np.max(np.abs(got[key] - want[key])) < 1e-10, key
 
 
-# Networks from tests/randnets.py, from one site up to sizes whose sweep of
-# PROPERTY_GRID spans several chunks (40 sites: 40 points per chunk)
+# Networks from tests/randnets.py, from one site up to 40. At the real chunk
+# budget a sweep of PROPERTY_GRID fits one chunk on every route (at least 291
+# points on the LU routes, 1638 on the Schur route), so each property shrinks
+# the budget to CHUNK_POINTS points per chunk.
 RANDOM_NETWORK = {"seed": st.integers(0, 2 ** 32 - 1), "n": st.integers(1, 40),
                   "lossless": st.booleans()}
 PROPERTY_GRID = ProbeGrid(-80.0, 80.0, 101)
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+CHUNK_POINTS = 40
+
+
+@contextlib.contextmanager
+def small_chunks(net, wg, solver="closed_form"):
+    """Solve CHUNK_POINTS points per chunk on the route the kernel takes for
+    net, and check on leaving that the stream crossed two chunk boundaries."""
+    point_bytes = _KERNELS[solver](net, wg)[1]
+    real = scattering._amplitude_chunks
+    starts = []
+
+    def counted(*args, **kwargs):
+        for chunk in real(*args, **kwargs):
+            starts.append(chunk[0].start)
+            yield chunk
+
+    with mock.patch.object(scattering, "_CHUNK_BYTES", CHUNK_POINTS * point_bytes), \
+            mock.patch.object(scattering, "_amplitude_chunks", counted):
+        yield
+    assert starts[:3] == [0, CHUNK_POINTS, 2 * CHUNK_POINTS]
 
 
 class TestKernelProperties:
@@ -642,7 +666,8 @@ class TestKernelProperties:
     @given(**RANDOM_NETWORK)
     def test_flux_balance(self, seed, n, lossless):
         net, wg = random_network(np.random.default_rng(seed), n, lossless)
-        spec = sweep_spectrum(net, wg, PROPERTY_GRID)
+        with small_chunks(net, wg):
+            spec = sweep_spectrum(net, wg, PROPERTY_GRID)
         assert np.max(np.abs(spec.T + spec.R + spec.A_total - 1.0)) < 1e-10
         assert np.max(np.abs(sum(spec.A_channels.values()) - spec.A_total)) < 1e-12
         assert not lossless or np.all(spec.A_total == 0.0)
@@ -652,8 +677,11 @@ class TestKernelProperties:
     def test_reflection_is_transmission_minus_one(self, seed, n, lossless):
         # the direct kernel solves t and r as separate unknowns
         net, wg = random_network(np.random.default_rng(seed), n, lossless)
-        amplitudes, _ = _KERNELS["direct"](net, wg)
-        t, r, _ = amplitudes(PROPERTY_GRID.energies())
+        with small_chunks(net, wg, "direct"):
+            chunks = list(scattering._amplitude_chunks(net, wg, PROPERTY_GRID.energies(),
+                                                       "direct"))
+        t, r = (np.concatenate([chunk[k] for chunk in chunks]) for k in (1, 2))
+        assert t.size == PROPERTY_GRID.n_points
         assert np.max(np.abs(r - (t - 1.0))) < 1e-10
 
     @PROPERTY_SETTINGS
@@ -661,7 +689,8 @@ class TestKernelProperties:
                                              min_size=1, max_size=4, unique=True))
     def test_sweep_matches_direct_oracle_at_sampled_points(self, seed, n, lossless, points):
         net, wg = random_network(np.random.default_rng(seed), n, lossless)
-        got = sweep_ledgers(sweep_spectrum(net, wg, PROPERTY_GRID))
+        with small_chunks(net, wg):
+            got = sweep_ledgers(sweep_spectrum(net, wg, PROPERTY_GRID))
         want = point_ledgers(solve_direct, net, wg, PROPERTY_GRID.energies()[points])
         for key in want:
             assert np.max(np.abs(got[key][points] - want[key])) < 1e-10, key
@@ -673,12 +702,15 @@ class TestKernelProperties:
         free = [s for s in range(1, n + 1) if s not in dict(wg.ports)]
         assume(free)
         site = free[pick % len(free)]
-        removed = sweep_spectrum(*apply_defect(net, wg, RemoveSite(site)), PROPERTY_GRID)
+        removed = apply_defect(net, wg, RemoveSite(site))
+        with small_chunks(*removed):
+            removed = sweep_spectrum(*removed, PROPERTY_GRID)
         cut = net, wg
         for other in range(1, n + 1):
             if other != site:
                 cut = apply_defect(*cut, InhibitCoupling(site, other))
-        cut = sweep_spectrum(*cut, PROPERTY_GRID)
+        with small_chunks(*cut):
+            cut = sweep_spectrum(*cut, PROPERTY_GRID)
         got, want = sweep_ledgers(removed), sweep_ledgers(cut)
         for key in want:
             assert np.max(np.abs(got[key] - want[key])) < 1e-10, key

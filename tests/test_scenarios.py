@@ -273,6 +273,31 @@ class TestProminentPeaks:
         assert np.array_equal(scenarios._prominent_peaks(x, prominence),
                               find_peaks(x, prominence=prominence)[0])
 
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(runs=st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 6)), max_size=40),
+           prominence=PEAK_PROMINENCE)
+    def test_equals_scipy_on_runs_of_equal_samples(self, runs, prominence):
+        # every sample sits in a run of 1-6 equal ones, plateaus at both ends included
+        x = np.repeat([float(v) for v, _ in runs], [k for _, k in runs])
+        assert np.array_equal(scenarios._prominent_peaks(x, prominence),
+                              find_peaks(x, prominence=prominence)[0])
+
+    @pytest.mark.parametrize("values", [
+        [], [1.0], [1.0, 2.0], [2.0, 1.0, 2.0],
+        [4.0] * 7,                                  # all equal: one run
+        [1.0, 1.0, 1.0, 2.0, 2.0],                  # two runs
+        [2.0, 2.0, 1.0, 3.0, 3.0, 3.0, 0.0, 0.0],   # plateaus at both ends
+        [0.0, 0.0, 3.0, 3.0, 1.0, 2.0, 2.0],        # a plateau peak, a rising end
+        [5.0, 5.0, 1.0, 1.0, 4.0, 4.0, 4.0, 4.0],   # a falling start, no interior peak
+        [0.0, 2.0, 2.0, 3.0, 3.0, 1.0, 1.0, 2.0],   # a flat step inside a rise
+    ])
+    def test_equals_scipy_on_edge_cases(self, values):
+        x = np.array(values, dtype=float)
+        # prominence 0 keeps every peak, so an end run taken for one shows
+        for prominence in (0.0, 1e-12, 1.0, 2.0):
+            assert np.array_equal(scenarios._prominent_peaks(x, prominence),
+                                  find_peaks(x, prominence=prominence)[0])
+
     @pytest.mark.parametrize("n_points", [2001, 120001])
     def test_equals_scipy_on_preset_baseline(self, preset, n_points):
         net, wg = preset

@@ -1,15 +1,23 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import excitonprobe
 from excitonprobe import RemoveSite, apply_defect, default_grid, fmo_preset, sweep_spectrum
-from excitonprobe.svgplot import _nice_ticks, write_overlay
+from excitonprobe.csvio import _Transmission
+from excitonprobe.model import ProbeGrid
+from excitonprobe.svgplot import (
+    MARGIN_LEFT, MARGIN_RIGHT, WIDTH, _drawn_rows, _nice_ticks, write_overlay,
+)
+
+PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +103,42 @@ class TestTicks:
         ticks = _nice_ticks(lo, hi)
         assert [label for _, label in ticks] == labels
         assert all(float(label) == pytest.approx(value, rel=1e-12) for value, label in ticks)
+
+
+def pixel_columns(grid):
+    """The plot-box pixel column of each grid point, from the whole grid at once."""
+    e = np.linspace(grid.e_min, grid.e_max, grid.n_points)
+    return np.minimum(np.floor((e - grid.e_min) / (grid.e_max - grid.e_min) * PLOT_W),
+                      PLOT_W - 1)
+
+
+class TestDrawnPoints:
+    """A pixel column draws all its points up to 4, else its first, lowest,
+    highest and last (M4 aggregation)."""
+
+    # 3657 points put 3, 4 or 5 in a column (581 columns hold 4); 50001 put 54 or 55
+    @pytest.mark.parametrize("n_points", [3657, 50001])
+    def test_each_column_keeps_its_ends_and_extremes(self, rng, n_points):
+        grid = ProbeGrid(-171.0, 893.0, n_points)
+        T = rng.uniform(0.0, 1.0, n_points)
+        drawn = _drawn_rows(_Transmission(grid, T), grid.e_min, grid.e_max, PLOT_W)
+        assert np.all(np.diff(drawn) > 0) and drawn.size <= 4 * PLOT_W
+        col = pixel_columns(grid)
+        assert np.bincount(col.astype(int)).size == PLOT_W
+        for c in range(PLOT_W):
+            rows, kept = np.flatnonzero(col == c), drawn[col[drawn] == c]
+            if rows.size <= 4:
+                assert np.array_equal(kept, rows)
+            else:
+                assert kept[0] == rows[0] and kept[-1] == rows[-1] and kept.size <= 4
+                assert T[kept].min() == T[rows].min() and T[kept].max() == T[rows].max()
+
+    def test_svg_draws_the_kept_points(self, tmp_path):
+        net, wg = fmo_preset()
+        for n in (2001, 120001):
+            spec = sweep_spectrum(net, wg, default_grid(net, n_points=n))
+            points = re.search(r'points="([^"]*)"', overlay(tmp_path, spec)).group(1).split(" ")
+            drawn = _drawn_rows(spec, spec.grid.e_min, spec.grid.e_max, PLOT_W)
+            assert len(points) == drawn.size
+            # at most 3 points per column: a 2001-point curve keeps every point
+            assert drawn.size == 2001 if n == 2001 else drawn.size <= 4 * PLOT_W

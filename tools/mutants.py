@@ -55,6 +55,8 @@ MUTANTS = [
            "a site-data file's units ignored"),
     Mutant(PKG + "model.py", "if self.spacing < np.finfo(float).tiny:", "if False:",
            "a grid with a subnormal spacing accepted"),
+    Mutant(PKG + "model.py", "        k[last] = self.e_max\n", "",
+           "grid energies without their e_max end point"),
     Mutant(PKG + "model.py", "        violations = validate_network(self)\n        if violations:",
            "        violations = validate_network(self)\n        if False:",
            "SiteNetwork built without its validation"),
@@ -67,6 +69,10 @@ MUTANTS = [
            "prominence taken by float(), so True counts as 1.0"),
     Mutant(PKG + "scenarios.py", ">= prominence]]", "> prominence]]",
            "prominence >= -> >"),
+    Mutant(PKG + "scenarios.py", "up[:-1] & ~up[1:], [False]))", "up[:-1] & ~up[1:], up[-1:]))",
+           "a leaving step < 0 -> <= 0 in the peak walk: a rising last run counts as a peak"),
+    Mutant(PKG + "scenarios.py", "moving = up | fall[start] ", "moving = up | ~up ",
+           "runs of flat steps kept among the moving runs, as falling ones"),
     Mutant(PKG + "scenarios.py", "return (float(np.sqrt(np.sum(dT ** 2) * h)),",
            "return (float(1.005 * np.sqrt(np.sum(dT ** 2) * h)),",
            "l2 scaled by 1.005"),
@@ -123,6 +129,12 @@ MUTANTS = [
     Mutant(PKG + "csvio.py", "slice(start, start + _CSV_BLOCK_ROWS)",
            "slice(start, start + _CSV_BLOCK_ROWS + 1)",
            "each block of rows one row too long"),
+    Mutant(PKG + "csvio.py", "np.diff(energies, prepend=self.last)", "np.diff(energies)",
+           "the reader's energy carry across blocks dropped"),
+    Mutant(PKG + "csvio.py", 'if line != "\\n":', "if True:",
+           "blank lines left to numpy, so a file with one goes to the line parser"),
+    Mutant(PKG + "svgplot.py", "if b - a <= 4:", "if b - a <= 3:",
+           "a pixel column of 4 points reduced to its first, lowest, highest and last"),
     Mutant(PKG + "svgplot.py", "// step) + 1", "// step)", "one tick too few"),
     Mutant(PKG + "svgplot.py", "    values = list(dict.fromkeys(values))\n", "",
            "ticks repeated where the step is below the float spacing"),
