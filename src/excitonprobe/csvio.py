@@ -24,7 +24,14 @@ _CSV_CHANNELS = ("sink", "dephasing", "ohmic")
 _CSV_COLUMNS = ("E_cm1", "T", "R", "A_total", *(f"A_{name}" for name in _CSV_CHANNELS))
 CSV_HEADER = ",".join(_CSV_COLUMNS)
 _CSV_ROW = ",".join(["%.12e"] * len(_CSV_COLUMNS)) + "\n"
+# Rows per % call of the writer. At 1024 instead of 4096, writing the 2001-row
+# preset spectrum allocates at most 0.51 MB instead of 0.99 MB.
+_CSV_FORMAT_ROWS = 1024
+# Lines per numpy parse of the reader. A smaller block would not lower the peak
+# of `fano` on a fine grid: the Fano fit's arrays over its window set it.
 _CSV_BLOCK_ROWS = 4096
+# Bytes per read when the reader counts a file's lines.
+_COUNT_BYTES = 2 ** 16
 
 # The FanoFit fields a Fano table row writes as floats, between its label and converged.
 _FANO_FLOATS = ("q", "e_res", "gamma_w", "t_bg", "residual")
@@ -114,7 +121,7 @@ def _write_rows(fh, preamble, grid, chunks):
     """Write a spectrum CSV to fh: the preamble, then the rows.
 
     chunks yields (rows, columns): a slice of the grid and its values in CSV
-    column order after E_cm1. Each chunk is formatted _CSV_BLOCK_ROWS rows at a
+    column order after E_cm1. Each chunk is formatted _CSV_FORMAT_ROWS rows at a
     time.
     """
     fh.write(preamble)
@@ -125,13 +132,13 @@ def _write_rows(fh, preamble, grid, chunks):
 
 
 def _row_blocks(n_rows):
-    """Yield the slices that cover n_rows rows, _CSV_BLOCK_ROWS rows each.
+    """Yield the slices that cover n_rows rows, _CSV_FORMAT_ROWS rows each.
 
     A writer that formats one block at a time never holds all its row text
     and floats at once.
     """
-    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-        yield slice(start, start + _CSV_BLOCK_ROWS)
+    for start in range(0, n_rows, _CSV_FORMAT_ROWS):
+        yield slice(start, start + _CSV_FORMAT_ROWS)
 
 
 def format_rows(row_format, columns):
@@ -216,8 +223,12 @@ def _read_blocks(path, keep):
 
 def _line_count(path):
     """Lines in the file at path, a last one without a line end included."""
+    count, last = 0, b"\n"
     with open(path, "rb") as fh:
-        return sum(1 for _ in fh)
+        for block in iter(lambda: fh.read(_COUNT_BYTES), b""):
+            count += block.count(b"\n")
+            last = block[-1:]
+    return count + (last != b"\n")
 
 
 def _parse_block(fh):

@@ -43,11 +43,12 @@ a chunk of energies is solved depends on the route and the network size:
   it misses LAPACK's backward error, the kernel takes the stacked LU solve.
 
 One amplitude stream, ``_amplitude_chunks``, builds the kernel, feeds it the
-energies in chunks whose largest array takes at most about 1 MiB (memory stays
-bounded on long grids and large networks) and decides what a pole does. A
-point's value does not depend on its chunk. ``sweep_spectrum`` retries a pole
-nudged up; ``solve_closed_form`` and ``solve_direct`` solve one energy, raise
-at a pole and wrap the result in a ``ScatteringSolution``.
+energies in chunks and decides what a pole does. A chunk's largest array takes
+at most 256 KiB on the LU routes and 1 MiB on the Schur route, so memory stays
+bounded on long grids and large networks. A point's value does not depend on
+its chunk. ``sweep_spectrum`` retries a pole nudged up; ``solve_closed_form``
+and ``solve_direct`` solve one energy, raise at a pole and wrap the result in a
+``ScatteringSolution``.
 """
 
 from __future__ import annotations
@@ -137,10 +138,16 @@ def effective_hamiltonian(net: SiteNetwork) -> np.ndarray:
     return H
 
 
-# Bytes one chunk's largest array may take: the stacked matrices of the LU
-# routes, the rows z of the Schur route. With the solve's copy or the y and
-# xi rows, a sweep's peak is about three to four times this.
-_CHUNK_BYTES = 2 ** 20
+# Bytes one chunk's largest array may take, by route. An LU chunk costs a few
+# numpy calls whatever its length, so its stack of matrices is kept small; the
+# kernel's call on it peaks at about 1.3 times the stack, and a 2001-point
+# sweep of the 7-site preset at 0.53 MB (2.35 MB with 1 MiB stacks built as
+# E*I - H). A Schur chunk costs n Python steps of back substitution, so its
+# rows z take more; the call peaks at about twice them (z and Z z). With
+# 256 KiB of z the 501-point sweep of a 200-site network took 7% longer
+# (67 -> 72 ms, one BLAS thread, 2-vCPU x86-64).
+_LU_CHUNK_BYTES = 2 ** 18
+_SCHUR_CHUNK_BYTES = 2 ** 20
 
 # Networks with at least this many sites take the closed form's Schur route.
 # Smaller ones, the 7-site preset among them, keep the stacked LU solve and
@@ -171,16 +178,27 @@ def _dot_rows(a, rows):
     return (a @ rows[..., None])[..., 0]
 
 
+def _chunk_points(budget, point_bytes):
+    """Points per chunk where each point takes point_bytes of a budget of bytes."""
+    return max(1, budget // point_bytes)
+
+
 def _lu_resolvent(H, w):
-    """(resolvent, bytes per point): y = (E - H)^-1 w by a stacked LU solve."""
+    """(resolvent, chunk points): y = (E - H)^-1 w by a stacked LU solve.
+
+    Each chunk's stack is one array: -H in every slot, E added on its diagonal.
+    """
     n = H.shape[0]
     rhs = w.astype(complex)
-    eye = np.eye(n, dtype=complex)
+    minus_H = -H
+    diag = np.arange(n)
 
     def resolvent(energies):
-        return _solve_rows(energies[:, None, None] * eye - H, rhs)
+        stack = np.repeat(minus_H[None], energies.size, axis=0)
+        stack[:, diag, diag] += energies[:, None]
+        return _solve_rows(stack, rhs)
 
-    return resolvent, 16 * n * n
+    return resolvent, _chunk_points(_LU_CHUNK_BYTES, 16 * n * n)
 
 
 def _schur_form(H):
@@ -202,7 +220,7 @@ def _schur_form(H):
 
 
 def _schur_resolvent(T, Z, w):
-    """(resolvent, bytes per point): y = (E - H)^-1 w from a Schur form of H.
+    """(resolvent, chunk points): y = (E - H)^-1 w from a Schur form of H.
 
     H = Z T Z^H with T upper triangular, so (E - H)^-1 w = Z (E - T)^-1 Z^H w.
     A zero diagonal of E - T, an exact pole, gives a non-finite row.
@@ -217,21 +235,21 @@ def _schur_resolvent(T, Z, w):
             z[:, k] = (b[k] + _dot_rows(T[k, k + 1:], z[:, k + 1:])) / (energies - lam[k])
         return _dot_rows(Z, z)
 
-    return resolvent, 16 * n
+    return resolvent, _chunk_points(_SCHUR_CHUNK_BYTES, 16 * n)
 
 
 def _closed_form_kernel(net: SiteNetwork, wg: WaveguideCoupling):
-    """Returns (amplitudes, bytes per point) for the closed form.
+    """Returns (amplitudes, chunk points) for the closed form.
 
     amplitudes(energies) finds y = (E - H_eff)^-1 w at each energy, by the
     Schur route from _SCHUR_MIN_SITES sites up and by stacked LU below or
-    where no Schur form is found, and returns the rows t, r and xi; the bytes
-    per point set the chunk.
+    where no Schur form is found, and returns the rows t, r and xi; the
+    route sets the points per chunk.
     """
     H = effective_hamiltonian(net)
     w = wg.amplitude_vector(net.n_sites)
     form = _schur_form(H) if net.n_sites >= _SCHUR_MIN_SITES else None
-    resolvent, point_bytes = _schur_resolvent(*form, w) if form else _lu_resolvent(H, w)
+    resolvent, chunk = _schur_resolvent(*form, w) if form else _lu_resolvent(H, w)
 
     def amplitudes(energies):
         y = resolvent(energies)
@@ -239,11 +257,11 @@ def _closed_form_kernel(net: SiteNetwork, wg: WaveguideCoupling):
         t = 1.0 / (1.0 + 1j * _dot_rows(w, y) / wg.v_g)
         return t, t - 1.0, t[:, None] * y
 
-    return amplitudes, point_bytes
+    return amplitudes, chunk
 
 
 def _direct_kernel(net: SiteNetwork, wg: WaveguideCoupling):
-    """Returns (amplitudes, bytes per point) for the (N+2)-unknown systems.
+    """Returns (amplitudes, chunk points) for the (N+2)-unknown systems.
 
     Unknowns are (t, r, xi_1..xi_N). The two photon rows are the jump
     conditions across the coupling point; each site row balances the site
@@ -280,7 +298,7 @@ def _direct_kernel(net: SiteNetwork, wg: WaveguideCoupling):
         u = _solve_rows(stack, b)
         return u[:, 0], u[:, 1], u[:, 2:]
 
-    return amplitudes, 16 * (n + 2) ** 2
+    return amplitudes, _chunk_points(_LU_CHUNK_BYTES, 16 * (n + 2) ** 2)
 
 
 _KERNELS = {"closed_form": _closed_form_kernel, "direct": _direct_kernel}
@@ -299,38 +317,41 @@ def _flux(net: SiteNetwork, v_g: float, t, r, xi):
     return T, R, per_site, per_channel
 
 
-def _amplitude_chunks(net: SiteNetwork, wg: WaveguideCoupling, energies, solver, nudge=None):
-    """Yield (rows, t, r, xi), the solver's amplitudes at energies[rows], chunk by chunk.
+def _amplitude_chunks(net: SiteNetwork, wg: WaveguideCoupling, n_points, energies, solver,
+                      nudge=None):
+    """Yield (rows, t, r, xi), the solver's amplitudes at energies(rows), chunk by chunk.
 
-    A pole is an energy whose amplitudes are not finite, as where its system
-    is singular. Without nudge it raises PoleError(energy). With nudge, a
-    chunk's poles are solved again, together, at E + nudge; a pole left
-    raises PoleError with its index in energies.
+    energies(rows) gives the energies at a slice rows of range(n_points), so
+    no chunk needs the others' energies. A pole is an energy whose amplitudes
+    are not finite, as where its system is singular. Without nudge it raises
+    PoleError(energy). With nudge, a chunk's poles are solved again, together,
+    at E + nudge; a pole left raises PoleError with its index in range(n_points).
     """
-    amplitudes, point_bytes = _KERNELS[solver](net, wg)
+    amplitudes, chunk = _KERNELS[solver](net, wg)
 
     def solve(at):
         with np.errstate(all="ignore"):
             t, r, xi = amplitudes(at)
         return t, r, xi, ~(np.isfinite(t) & np.isfinite(r) & np.isfinite(xi).all(axis=1))
 
-    chunk = max(1, _CHUNK_BYTES // point_bytes)
-    for start in range(0, energies.size, chunk):
+    for start in range(0, n_points, chunk):
         rows = slice(start, start + chunk)
-        t, r, xi, pole = solve(energies[rows])
+        at = energies(rows)
+        t, r, xi, pole = solve(at)
         if pole.any():
             if nudge is None:
-                raise PoleError(energies[rows][pole][0])
-            t[pole], r[pole], xi[pole], still = solve(energies[rows][pole] + nudge)
+                raise PoleError(at[pole][0])
+            t[pole], r[pole], xi[pole], still = solve(at[pole] + nudge)
             if still.any():
                 i = start + np.flatnonzero(pole)[still][0]
-                raise PoleError(energies[i], grid_index=i)
+                raise PoleError(at[i - start], grid_index=i)
         yield rows, t, r, xi
 
 
 def _solve_point(net: SiteNetwork, wg: WaveguideCoupling, energy, solver: str):
     """The kernel on a grid of one energy, as a ScatteringSolution."""
-    [(_, t, r, xi)] = _amplitude_chunks(net, wg, np.array([energy], dtype=float), solver)
+    at = np.array([energy], dtype=float)
+    [(_, t, r, xi)] = _amplitude_chunks(net, wg, 1, at.__getitem__, solver)
     T, R, per_site, per_channel = _flux(net, wg.v_g, t, r, xi)
     xi, per_site = xi[0], per_site[0]
     xi.flags.writeable = False
@@ -390,7 +411,7 @@ def _flux_chunks(net: SiteNetwork, wg: WaveguideCoupling, grid: ProbeGrid, solve
     The chunks and the pole rule are sweep_spectrum's. A caller that writes each
     chunk as it comes holds one chunk of the spectrum, not all of it.
     """
-    for rows, t, r, xi in _amplitude_chunks(net, wg, grid.energies(), solver,
+    for rows, t, r, xi in _amplitude_chunks(net, wg, grid.n_points, grid.energies, solver,
                                             POLE_NUDGE * grid.spacing):
         T, R, per_site, per_channel = _flux(net, wg.v_g, t, r, xi)
         yield rows, T, R, np.sum(per_site, axis=1), per_channel

@@ -549,7 +549,7 @@ class TestCliSpectrum:
         # overcommitting host and then exhaust it
         message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
 
-        def energies(grid):
+        def energies(grid, rows=slice(None)):
             raise MemoryError(message)
 
         monkeypatch.setattr("excitonprobe.model.ProbeGrid.energies", energies)

@@ -18,6 +18,7 @@ from excitonprobe.cli import main
 from excitonprobe.csvio import (
     _CSV_BLOCK_ROWS,
     _CSV_COLUMNS,
+    _CSV_FORMAT_ROWS,
     CSV_HEADER,
     FANO_CSV_HEADER,
     format_fano_table,
@@ -205,7 +206,7 @@ class TestWriterText:
 
     def test_awkward_values_match_per_row_format(self, tmp_path):
         # more rows than two of the writer's blocks, so block edges are covered
-        n = 2 * _CSV_BLOCK_ROWS + len(self.AWKWARD)
+        n = 2 * _CSV_FORMAT_ROWS + len(self.AWKWARD)
         cols = [np.roll(np.resize(self.AWKWARD, n), k) for k in range(6)]
         spec = Spectrum(grid=ProbeGrid(-1e-7, 3.0, n), T=cols[0], R=cols[1], A_total=cols[2],
                         A_channels={"sink": cols[3], "dephasing": cols[4], "ohmic": cols[5]},
@@ -285,6 +286,18 @@ class TestReaderPaths:
         assert not isinstance(want, str)
         monkeypatch.setattr(csvio, "_parse_lines", None)
         assert read_outcome(read_spectrum_csv, csv_path) == want
+
+    @pytest.mark.parametrize("text", [b"", b"1", b"1\n", b"\n", b"\n\n1\n\n", b"1\n2",
+                                      b"1\r\n\r\n2\r\n", b"1\r\n2", b"1\r2\n"])
+    @pytest.mark.parametrize("read_bytes", [1, 2, csvio._COUNT_BYTES])
+    def test_line_count_is_the_line_iterators(self, tmp_path, monkeypatch, text, read_bytes):
+        # the count of a binary file's line iterator, a line end split across reads or not
+        p = tmp_path / "lines.csv"
+        p.write_bytes(text)
+        with open(p, "rb") as fh:
+            want = sum(1 for _ in fh)
+        monkeypatch.setattr(csvio, "_COUNT_BYTES", read_bytes)
+        assert csvio._line_count(p) == want
 
 
 class TestReaderValidation:
@@ -447,7 +460,8 @@ def allocation_peak(call):
 
 class TestMemoryBound:
     """An output stage holds one block of rows on top of the Spectrum it reads
-    or returns: its peak grows with the grid by a few float columns at most."""
+    or returns: its peak grows with the grid by a few float columns at most.
+    A sweep holds one chunk on top of the Spectrum it returns."""
 
     SIZES = (10001, 30001)
 
@@ -482,8 +496,8 @@ class TestMemoryBound:
         "read_spectrum_csv": (50, lambda spec, path: read_spectrum_csv(str(path))),
         # the sign of each step and -T for the dips
         "dip_count": (16, lambda spec, path: dip_count(spec)),
-        # the kept T column, the energies the sweep solves, and a little slack
-        "spectrum_command": (18, lambda spec, path: TestMemoryBound.spectrum_command(spec, path)),
+        # the kept T column and a little slack
+        "spectrum_command": (10, lambda spec, path: TestMemoryBound.spectrum_command(spec, path)),
         # the T column, and the fit's arrays over its window, a tenth of the grid
         "fano_command": (16, lambda spec, path: main(["fano", "--spectrum", str(path),
                                                       "--window", "520,620"])),
@@ -495,6 +509,30 @@ class TestMemoryBound:
         small, large = (allocation_peak(lambda: call(*outputs[n])) for n in self.SIZES)
         growth = (large - small) / (self.SIZES[1] - self.SIZES[0])
         assert growth <= per_point, f"{stage}: {growth:.1f} B per grid point"
+
+    # A pass of the defect screen: the 7-site preset on the default 2001 points.
+    @pytest.mark.parametrize("solver", ["closed_form", "direct"])
+    def test_preset_sweep_peak(self, preset, solver):
+        net, wg = preset
+        grid = default_grid(net)
+        peak = allocation_peak(lambda: sweep_spectrum(net, wg, grid, solver=solver))
+        assert peak <= 1.0e6, f"{solver}: {peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("solver", ["closed_form", "direct"])
+    def test_lu_chunk_holds_one_stack(self, preset, solver):
+        # the stack of a chunk's matrices is built in place, not out of E*I and H
+        net, wg = preset
+        amplitudes, chunk = scattering._KERNELS[solver](net, wg)
+        size = net.n_sites + 2 if solver == "direct" else net.n_sites
+        stack = 16 * size * size * chunk
+        energies = np.linspace(-300.0, 300.0, chunk)
+        peak = allocation_peak(lambda: amplitudes(energies))
+        assert peak <= 1.5 * stack, f"{solver}: {peak / stack:.2f} stacks"
+
+    def test_preset_csv_write_peak(self, baseline_spectrum, tmp_path):
+        path = tmp_path / "baseline.csv"
+        peak = allocation_peak(lambda: write_spectrum_csv(str(path), baseline_spectrum))
+        assert peak <= 0.8e6, f"{peak / 1e6:.2f} MB"
 
 
 MALFORMED = {
@@ -526,12 +564,12 @@ class TestStreamedSweep:
     @pytest.mark.parametrize("solver", ["closed_form", "direct"])
     def test_same_bytes_as_the_written_sweep(self, preset, tmp_path, solver):
         net, wg = preset
-        # several sweep chunks of 1337 (LU) or 1024 (direct) rows and CSV blocks
+        # several sweep chunks of 334 (LU) or 202 (direct) rows and CSV blocks
         grid = default_grid(net, n_points=9001)
         self.assert_same_bytes(net, wg, grid, solver, tmp_path)
 
     def test_chunk_longer_than_a_block(self, tmp_path):
-        # one site: an LU chunk holds 65536 rows, a CSV block 4096
+        # one site: an LU chunk holds 16384 rows, a CSV block 1024
         net, wg = single_emitter(epsilon=0.3, gamma=2.0)
         self.assert_same_bytes(net, wg, ProbeGrid(-50.0, 50.0, 70001), "closed_form", tmp_path)
 
@@ -549,7 +587,8 @@ class TestStreamedSweep:
         # ten points per chunk, so seven chunks are written before the pole
         grid = ProbeGrid(1e6 - 0.05, 1e6 + 0.05, 101)
         net, wg = single_emitter(epsilon=grid.energies([77])[0], g=1.0)
-        monkeypatch.setattr(scattering, "_CHUNK_BYTES", 10 * 16)
+        monkeypatch.setattr(scattering, "_LU_CHUNK_BYTES", 10 * 16)
+        assert scattering._KERNELS["closed_form"](net, wg)[1] == 10
         path = tmp_path / "cut.csv"
         with pytest.raises(PoleError) as err:
             csvio._write_sweep_csv(str(path), net, wg, grid, "closed_form")

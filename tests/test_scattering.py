@@ -175,13 +175,13 @@ class TestPoleHandling:
         real = _KERNELS["closed_form"]
 
         def spy_kernel(net, wg):
-            amplitudes, point_bytes = real(net, wg)
+            amplitudes, chunk = real(net, wg)
 
             def spy(energies):
                 solved.append(np.array(energies))
                 return amplitudes(energies)
 
-            return spy, point_bytes
+            return spy, chunk
 
         monkeypatch.setitem(_KERNELS, "closed_form", spy_kernel)
         net, wg = single_emitter(epsilon=0.0, g=1.0)
@@ -344,10 +344,20 @@ def sweep_ledgers(spec):
 
 
 def chunk_rows(n, route="lu"):
-    """Points in one chunk of the kernel: stacked LU solves of n x n systems,
-    or the Schur route's rows of n amplitudes."""
-    point_bytes = 16 * n * n if route == "lu" else 16 * n
-    return max(1, scattering._CHUNK_BYTES // point_bytes)
+    """Points in one chunk of the kernel on n sites: stacked LU solves of n x n
+    systems ("lu") or of the direct route's (n + 2) x (n + 2) systems, each
+    stack within _LU_CHUNK_BYTES, or the Schur route's rows of n amplitudes
+    within _SCHUR_CHUNK_BYTES."""
+    if route == "schur":
+        return max(1, scattering._SCHUR_CHUNK_BYTES // (16 * n))
+    size = n + 2 if route == "direct" else n
+    return max(1, scattering._LU_CHUNK_BYTES // (16 * size * size))
+
+
+def chunk_starts(net, wg, grid, solver="closed_form"):
+    """The first grid index of each chunk the stream solves grid in."""
+    return [rows.start for rows, *_ in
+            scattering._amplitude_chunks(net, wg, grid.n_points, grid.energies, solver)]
 
 
 def decoupled_network(epsilon):
@@ -378,13 +388,12 @@ class TestKernel:
     def test_sweep_across_chunks_matches_direct_oracle(self, rng, monkeypatch):
         net, wg = random_network(rng, 60)
         grid = ProbeGrid(-80.0, 80.0, 50)
-        assert grid.n_points > 2 * chunk_rows(net.n_sites + 2)
+        assert grid.n_points > 2 * chunk_rows(net.n_sites, "direct")
         want = point_ledgers(solve_direct, net, wg, grid.energies())
         direct = sweep_ledgers(sweep_spectrum(net, wg, grid, solver="direct"))
         # the Schur route's chunk would hold the whole grid; seven points here
-        monkeypatch.setattr(scattering, "_CHUNK_BYTES", 7 * 16 * net.n_sites)
-        assert _KERNELS["closed_form"](net, wg)[1] == 16 * net.n_sites
-        assert grid.n_points > 2 * chunk_rows(net.n_sites, "schur")
+        monkeypatch.setattr(scattering, "_SCHUR_CHUNK_BYTES", 7 * 16 * net.n_sites)
+        assert _KERNELS["closed_form"](net, wg)[1] == 7
         closed = sweep_ledgers(sweep_spectrum(net, wg, grid))
         for key in want:
             assert np.max(np.abs(closed[key] - want[key])) < 1e-10, key
@@ -395,9 +404,8 @@ class TestKernel:
         n = 60
         net, wg = decoupled_network([grid.energies()[77]] + [1e4 + k for k in range(n - 1)])
         # ten points per Schur chunk: index 77 is point 7 of the eighth chunk
-        monkeypatch.setattr(scattering, "_CHUNK_BYTES", 10 * 16 * n)
-        assert _KERNELS["closed_form"](net, wg)[1] == 16 * n
-        assert 77 > 2 * chunk_rows(n, "schur")
+        monkeypatch.setattr(scattering, "_SCHUR_CHUNK_BYTES", 10 * 16 * n)
+        assert _KERNELS["closed_form"](net, wg)[1] == 10
         spec = sweep_spectrum(net, wg, grid)
         assert np.all(np.isfinite(spec.T)) and np.all(np.isfinite(spec.A_total))
         assert spec.T[77] < 1e-10
@@ -410,9 +418,8 @@ class TestKernel:
         grid = ProbeGrid(1e6 - 0.05, 1e6 + 0.05, 101)
         n = 60
         net, wg = decoupled_network([grid.energies()[77]] + [1e4 + k for k in range(n - 1)])
-        monkeypatch.setattr(scattering, "_CHUNK_BYTES", 10 * 16 * n)
-        assert _KERNELS["closed_form"](net, wg)[1] == 16 * n
-        assert 77 > 2 * chunk_rows(n, "schur")
+        monkeypatch.setattr(scattering, "_SCHUR_CHUNK_BYTES", 10 * 16 * n)
+        assert _KERNELS["closed_form"](net, wg)[1] == 10
         with pytest.raises(PoleError) as err:
             sweep_spectrum(net, wg, grid)
         assert err.value.grid_index == 77
@@ -524,8 +531,9 @@ class TestSchurRoute:
     @pytest.mark.parametrize("n", [_SCHUR_MIN_SITES, 40])
     def test_sweep_equals_grid_of_one_solves(self, rng, monkeypatch, n):
         # seven points per chunk, so 31 points take five chunks, the last short
-        monkeypatch.setattr(scattering, "_CHUNK_BYTES", 7 * 16 * n)
+        monkeypatch.setattr(scattering, "_SCHUR_CHUNK_BYTES", 7 * 16 * n)
         net, wg = random_network(rng, n)
+        assert _KERNELS["closed_form"](net, wg)[1] == 7
         grid = ProbeGrid(-80.0, 80.0, 31)
         calls = schur_calls(monkeypatch)
         got = sweep_ledgers(sweep_spectrum(net, wg, grid))
@@ -621,7 +629,7 @@ class TestSchurForm:
 
         monkeypatch.setattr(scattering.np.linalg, "eig", noisy_eig)
         assert scattering._schur_form(effective_hamiltonian(net)) is None
-        assert _KERNELS["closed_form"](net, wg)[1] == 16 * n * n
+        assert _KERNELS["closed_form"](net, wg)[1] == chunk_rows(n, "lu")
         grid = ProbeGrid(-80.0, 80.0, 2 * chunk_rows(n) + 19)
         got = sweep_ledgers(sweep_spectrum(net, wg, grid))
         want = point_ledgers(solve_direct, net, wg, grid.energies())
@@ -630,9 +638,9 @@ class TestSchurForm:
 
 
 # Networks from tests/randnets.py, from one site up to 40. At the real chunk
-# budget a sweep of PROPERTY_GRID fits one chunk on every route (at least 291
-# points on the LU routes, 1638 on the Schur route), so each property shrinks
-# the budget to CHUNK_POINTS points per chunk.
+# budgets a sweep of PROPERTY_GRID fits one chunk on the Schur route (at least
+# 1638 points) and on small networks, so each property solves CHUNK_POINTS
+# points per chunk, whatever the route.
 RANDOM_NETWORK = {"seed": st.integers(0, 2 ** 32 - 1), "n": st.integers(1, 40),
                   "lossless": st.booleans()}
 PROPERTY_GRID = ProbeGrid(-80.0, 80.0, 101)
@@ -641,22 +649,50 @@ CHUNK_POINTS = 40
 
 
 @contextlib.contextmanager
-def small_chunks(net, wg, solver="closed_form"):
-    """Solve CHUNK_POINTS points per chunk on the route the kernel takes for
-    net, and check on leaving that the stream crossed two chunk boundaries."""
-    point_bytes = _KERNELS[solver](net, wg)[1]
-    real = scattering._amplitude_chunks
+def small_chunks(solver="closed_form"):
+    """Solve CHUNK_POINTS points per chunk on whatever route the solver's
+    kernel takes, and check on leaving that the stream crossed two chunk
+    boundaries."""
+    real_kernel, real_chunks = _KERNELS[solver], scattering._amplitude_chunks
     starts = []
 
+    def kernel(net, wg):
+        return real_kernel(net, wg)[0], CHUNK_POINTS
+
     def counted(*args, **kwargs):
-        for chunk in real(*args, **kwargs):
+        for chunk in real_chunks(*args, **kwargs):
             starts.append(chunk[0].start)
             yield chunk
 
-    with mock.patch.object(scattering, "_CHUNK_BYTES", CHUNK_POINTS * point_bytes), \
+    with mock.patch.dict(_KERNELS, {solver: kernel}), \
             mock.patch.object(scattering, "_amplitude_chunks", counted):
         yield
     assert starts[:3] == [0, CHUNK_POINTS, 2 * CHUNK_POINTS]
+
+
+# A network per route: (solver, sites); chunk_rows names the route.
+ROUTES = {"lu": ("closed_form", 7), "schur": ("closed_form", _SCHUR_MIN_SITES),
+          "direct": ("direct", 7)}
+
+
+class TestChunkHelpers:
+    """Each helper that sets the chunks still crosses chunk boundaries on every route."""
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_chunk_rows_is_the_kernels_chunk(self, rng, route):
+        solver, n = ROUTES[route]
+        net, wg = random_network(rng, n)
+        assert _KERNELS[solver](net, wg)[1] == chunk_rows(n, route)
+        grid = ProbeGrid(-80.0, 80.0, 2 * chunk_rows(n, route) + 19)
+        assert len(chunk_starts(net, wg, grid, solver)) == 3
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_small_chunks_crosses_two_boundaries(self, rng, route):
+        solver, n = ROUTES[route]
+        net, wg = random_network(rng, n)
+        with small_chunks(solver):
+            starts = chunk_starts(net, wg, PROPERTY_GRID, solver)
+        assert starts == [0, CHUNK_POINTS, 2 * CHUNK_POINTS]
 
 
 class TestKernelProperties:
@@ -666,7 +702,7 @@ class TestKernelProperties:
     @given(**RANDOM_NETWORK)
     def test_flux_balance(self, seed, n, lossless):
         net, wg = random_network(np.random.default_rng(seed), n, lossless)
-        with small_chunks(net, wg):
+        with small_chunks():
             spec = sweep_spectrum(net, wg, PROPERTY_GRID)
         assert np.max(np.abs(spec.T + spec.R + spec.A_total - 1.0)) < 1e-10
         assert np.max(np.abs(sum(spec.A_channels.values()) - spec.A_total)) < 1e-12
@@ -677,9 +713,9 @@ class TestKernelProperties:
     def test_reflection_is_transmission_minus_one(self, seed, n, lossless):
         # the direct kernel solves t and r as separate unknowns
         net, wg = random_network(np.random.default_rng(seed), n, lossless)
-        with small_chunks(net, wg, "direct"):
-            chunks = list(scattering._amplitude_chunks(net, wg, PROPERTY_GRID.energies(),
-                                                       "direct"))
+        with small_chunks("direct"):
+            chunks = list(scattering._amplitude_chunks(net, wg, PROPERTY_GRID.n_points,
+                                                       PROPERTY_GRID.energies, "direct"))
         t, r = (np.concatenate([chunk[k] for chunk in chunks]) for k in (1, 2))
         assert t.size == PROPERTY_GRID.n_points
         assert np.max(np.abs(r - (t - 1.0))) < 1e-10
@@ -689,7 +725,7 @@ class TestKernelProperties:
                                              min_size=1, max_size=4, unique=True))
     def test_sweep_matches_direct_oracle_at_sampled_points(self, seed, n, lossless, points):
         net, wg = random_network(np.random.default_rng(seed), n, lossless)
-        with small_chunks(net, wg):
+        with small_chunks():
             got = sweep_ledgers(sweep_spectrum(net, wg, PROPERTY_GRID))
         want = point_ledgers(solve_direct, net, wg, PROPERTY_GRID.energies()[points])
         for key in want:
@@ -703,13 +739,13 @@ class TestKernelProperties:
         assume(free)
         site = free[pick % len(free)]
         removed = apply_defect(net, wg, RemoveSite(site))
-        with small_chunks(*removed):
+        with small_chunks():
             removed = sweep_spectrum(*removed, PROPERTY_GRID)
         cut = net, wg
         for other in range(1, n + 1):
             if other != site:
                 cut = apply_defect(*cut, InhibitCoupling(site, other))
-        with small_chunks(*cut):
+        with small_chunks():
             cut = sweep_spectrum(*cut, PROPERTY_GRID)
         got, want = sweep_ledgers(removed), sweep_ledgers(cut)
         for key in want:

@@ -82,14 +82,14 @@ MUTANTS = [
     Mutant(PKG + "scenarios.py", "grid=asdict(grid)),", "),",
            "the report's grid block dropped"),
     # kernel
-    Mutant(PKG + "scattering.py", "solve(energies[rows][pole] + nudge)",
-           "solve(energies[rows][pole] - nudge)", "pole nudge pointed down"),
+    Mutant(PKG + "scattering.py", "solve(at[pole] + nudge)", "solve(at[pole] - nudge)",
+           "pole nudge pointed down"),
     Mutant(PKG + "scattering.py", "            if still.any():", "            if False:",
            "no PoleError after a failed nudge"),
     Mutant(PKG + "scattering.py", "i = start + np.flatnonzero(pole)[still][0]",
            "i = np.flatnonzero(pole)[still][0]", "pole's grid index without its chunk's start"),
-    Mutant(PKG + "scattering.py", "raise PoleError(energies[rows][pole][0])",
-           "raise PoleError(energies[rows][pole][0], grid_index=start)",
+    Mutant(PKG + "scattering.py", "raise PoleError(at[pole][0])",
+           "raise PoleError(at[pole][0], grid_index=start)",
            "a grid index on a single-energy pole"),
     Mutant(PKG + "scattering.py", "if net.n_sites >= _SCHUR_MIN_SITES",
            "if net.n_sites > _SCHUR_MIN_SITES", "Schur threshold >= -> >"),
@@ -104,8 +104,19 @@ MUTANTS = [
            "eigenvectors taken as the Schur basis: every form falls back to LU"),
     Mutant(PKG + "scattering.py", '        "port_widths": wg.port_widths(),\n', "",
            "port_widths metadata dropped"),
-    Mutant(PKG + "scattering.py", "_CHUNK_BYTES = 2 ** 20", "_CHUNK_BYTES = 2 ** 18",
+    Mutant(PKG + "scattering.py", "_SCHUR_CHUNK_BYTES = 2 ** 20", "_SCHUR_CHUNK_BYTES = 2 ** 18",
            "chunk budget / 4: a point's value does not depend on its chunk", equivalent=True),
+    Mutant(PKG + "scattering.py", "_LU_CHUNK_BYTES = 2 ** 18", "_LU_CHUNK_BYTES = 2 ** 20",
+           "LU chunk cap back to 1 MiB"),
+    Mutant(PKG + "scattering.py",
+           "        stack = np.repeat(minus_H[None], energies.size, axis=0)\n"
+           "        stack[:, diag, diag] += energies[:, None]\n"
+           "        return _solve_rows(stack, rhs)\n",
+           "        return _solve_rows(energies[:, None, None] * np.eye(n, dtype=complex) - H, rhs)\n",
+           "LU stack built as E*I - H, two stacks at once"),
+    Mutant(PKG + "scattering.py", "grid.n_points, grid.energies, solver",
+           "grid.n_points, grid.energies().__getitem__, solver",
+           "the sweep's chunks sliced from a full energy column"),
     # Fano fits
     Mutant(PKG + "fano.py", "MAX_ITERATIONS = 500", "MAX_ITERATIONS = 50",
            "Fano iteration cap 500 -> 50"),
@@ -114,7 +125,7 @@ MUTANTS = [
     Mutant(PKG + "fano.py", '    e_lo, e_hi = _fit_window(window, "fit window")',
            "    e_lo, e_hi = window", "fit_fano skips the window rule"),
     # CSV and CLI
-    Mutant(PKG + "csvio.py", "_CSV_BLOCK_ROWS = 4096", "_CSV_BLOCK_ROWS = 7",
+    Mutant(PKG + "csvio.py", "_CSV_FORMAT_ROWS = 1024", "_CSV_FORMAT_ROWS = 7",
            "7-row CSV blocks: the block size changes no byte", equivalent=True),
     Mutant(PKG + "csvio.py", "        read(text)\n", "",
            "metadata writer skips the key's reader"),
@@ -126,9 +137,11 @@ MUTANTS = [
            "metadata writer allows a line break"),
     Mutant(PKG + "csvio.py", 'if "," in label or "".join(label.splitlines()) != label:',
            "if False:", "Fano table label with a comma or a line break accepted"),
-    Mutant(PKG + "csvio.py", "slice(start, start + _CSV_BLOCK_ROWS)",
-           "slice(start, start + _CSV_BLOCK_ROWS + 1)",
+    Mutant(PKG + "csvio.py", "slice(start, start + _CSV_FORMAT_ROWS)",
+           "slice(start, start + _CSV_FORMAT_ROWS + 1)",
            "each block of rows one row too long"),
+    Mutant(PKG + "csvio.py", 'return count + (last != b"\\n")', "return count",
+           "line count drops an unterminated last line"),
     Mutant(PKG + "csvio.py", "np.diff(energies, prepend=self.last)", "np.diff(energies)",
            "the reader's energy carry across blocks dropped"),
     Mutant(PKG + "csvio.py", 'if line != "\\n":', "if True:",
